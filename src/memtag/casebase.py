@@ -55,20 +55,8 @@ class CaseBase:
         self.total_cases += 1
 
     def add_many(self, cases: Iterable[tuple[Vector, int]]) -> None:
-        arity = self.arity
-        patterns = self.patterns
-        n = 0
         for features, target in cases:
-            if len(features) != arity:
-                raise StructureError(
-                    f"case arity {len(features)} != base arity {arity}")
-            dist = patterns.get(features)
-            if dist is None:
-                patterns[features] = {target: 1}
-            else:
-                dist[target] = dist.get(target, 0) + 1
-            n += 1
-        self.total_cases += n
+            self.add(features, target)
 
     def class_counts(self) -> ClassDistribution:
         """Aggregate class distribution over all stored cases."""

@@ -113,7 +113,7 @@ def cmd_eval(cfg: RunConfig, gold_left: bool, dump_gains: str | None,
     report = evaluation.evaluate(model, test, gold_left_context=gold_left)
     print(report.table())
     print(f"{report.total} tokens, {report.words_per_second:,.0f} words/s, "
-          f"model {report.model_bytes} bytes")
+          f"model {os.path.getsize(cfg.model_path)} bytes")
     if cfg.output_path:
         _write_text(cfg.output_path, report.tsv())
     if dump_gains:

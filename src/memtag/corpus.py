@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .errors import CorpusParseError, EmptyCorpusError, ParameterError
 
@@ -33,10 +33,6 @@ class Corpus:
     @property
     def token_count(self) -> int:
         return sum(len(s) for s in self.sentences)
-
-    def tokens(self) -> Iterator[Token]:
-        for sent in self.sentences:
-            yield from sent
 
     def __len__(self) -> int:
         return len(self.sentences)

@@ -35,7 +35,6 @@ class EvalReport:
     unknown_total: int
     unknown_correct: int
     wall_time_s: float
-    model_bytes: int
 
     @property
     def total(self) -> int:
@@ -109,7 +108,7 @@ def evaluate(model: TaggerModel, test: Corpus,
             else:
                 ut += 1
                 uc += hit
-    return EvalReport(kt, kc, ut, uc, wall, len(model.to_bytes()))
+    return EvalReport(kt, kc, ut, uc, wall)
 
 
 # -- cross-validation and learning curves ---------------------------------

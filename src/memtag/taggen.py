@@ -24,8 +24,9 @@ from __future__ import annotations
 import re
 import struct
 from dataclasses import dataclass, field
+from typing import Iterator
 
-from .casebase import CaseBase, majority_class
+from .casebase import CaseBase, Vector, majority_class
 from .corpus import Corpus
 from .errors import ModelFormatError, ParameterError, StructureError
 from .igtree import IGTree, build, prune, stats, tree_from_bytes, tree_to_bytes
@@ -56,7 +57,9 @@ DEFAULT_CLOSED_CLASS_TAGS = frozenset({
 
 
 def is_number(word: str) -> bool:
-    return _NUMBER_RE.fullmatch(word) is not None
+    # isdecimal() is true exactly for a non-empty run of \d characters (the
+    # Unicode Nd category): a cheap first test for the commonest numerals.
+    return word.isdecimal() or _NUMBER_RE.fullmatch(word) is not None
 
 
 @dataclass(frozen=True)
@@ -279,13 +282,17 @@ class Explanation:
 class TaggerModel:
     """Lexicon + two tries + weights + config, sharing one interner.
 
-    Immutable after training or loading, so one model can serve concurrent
-    tagging calls; the sequential dependency is within a sentence only.
+    Routing is resolved once per lexicon word when the model is built (by
+    `train` or on load): a map from each word that takes the known route to
+    its lexicon tag, so tagging a token costs one dict lookup and never runs
+    the numeral test. Immutable after training or loading, so one model can
+    serve concurrent tagging calls; the sequential dependency is within a
+    sentence only.
     """
 
     __slots__ = ("interner", "lexicon", "config", "known_weights",
                  "unknown_weights", "known_tree", "unknown_tree",
-                 "fallback_tag")
+                 "fallback_tag", "_known_tags")
 
     def __init__(self, interner: Interner, lexicon: Lexicon,
                  config: TaggerConfig, known_weights: FeatureWeights,
@@ -299,67 +306,72 @@ class TaggerModel:
         self.known_tree = known_tree
         self.unknown_tree = unknown_tree
         self.fallback_tag = fallback_tag
+        route_numbers = config.route_numbers_to_unknown
+        self._known_tags = {
+            word: entry.ambiguous_tag for word, entry in lexicon.entries.items()
+            if not (route_numbers and is_number(word))}
 
     # -- tagging ---------------------------------------------------------
 
-    def tag_records(self, words: list[str],
-                    gold_left: list[str] | None = None) -> list[TokenRecord]:
-        """Tag one sentence left to right, keeping per-token records.
+    def _walk(self, words: list[str], gold_left: list[str] | None
+              ) -> Iterator[tuple[str, Vector, int]]:
+        """Tag one sentence left to right, yielding (route, query,
+        prediction) per token.
 
-        With `gold_left`, the d slots are filled from those tags instead of
-        the tagger's own output, isolating the classifiers from error
-        propagation.
+        A word outside the known-route map takes the unknown route, and its
+        left neighbor's a+1 slot holds the unknown marker. With `gold_left`
+        the d slots hold those tags instead of the tagger's own output. A
+        route without a tree answers the fallback tag.
         """
         if not words:
             raise ParameterError("cannot tag an empty sentence")
         if gold_left is not None and len(gold_left) != len(words):
             raise ParameterError("gold_left length differs from sentence length")
         interner = self.interner
-        config = self.config
-        entries = self.lexicon.entries
         boundary = interner.boundary
         unk_mark = interner.unknown_mark
-        route_numbers = config.route_numbers_to_unknown
-        n = len(words)
-
-        focus = []  # lexicon tag id or None when routed unknown
-        for w in words:
-            entry = entries.get(w)
-            if entry is None or (route_numbers and is_number(w)):
-                focus.append(None)
-            else:
-                focus.append(entry.ambiguous_tag)
-
-        if gold_left is not None:
-            left = [interner.id_of(t) for t in gold_left]
-        else:
-            left = [NO_SYMBOL] * n  # filled with our own output as we go
-
-        records = []
+        fallback = self.fallback_tag
+        known_tree, unknown_tree = self.known_tree, self.unknown_tree
+        focus = list(map(self._known_tags.get, words))
+        right = [unk_mark if f is None else f for f in focus]
+        right.append(boundary)
+        gold = (None if gold_left is None
+                else [interner.id_of(t) for t in gold_left])
+        d2 = d1 = boundary
         for i, w in enumerate(words):
-            d1 = left[i - 1] if i >= 1 else boundary
-            a = boundary if i + 1 == n else (
-                focus[i + 1] if focus[i + 1] is not None else unk_mark)
-            if focus[i] is not None:
-                d2 = left[i - 2] if i >= 2 else boundary
-                query = (d2, d1, focus[i], a)
-                tree = self.known_tree
-                route = "known"
+            f = focus[i]
+            if f is not None:
+                query = (d2, d1, f, right[i + 1])
+                pred = (known_tree.classify(query) if known_tree is not None
+                        else fallback)
+                yield "known", query, pred
             else:
                 first, s3, s2, s1 = _letter_slots(w, interner, strict=False)
-                query = (first, d1, a, s3, s2, s1)
-                tree = self.unknown_tree
-                route = "unknown"
-            pred = tree.classify(query) if tree is not None else self.fallback_tag
-            if gold_left is None:
-                left[i] = pred
-            records.append(TokenRecord(w, route, query, pred))
-        return records
+                query = (first, d1, right[i + 1], s3, s2, s1)
+                pred = (unknown_tree.classify(query)
+                        if unknown_tree is not None else fallback)
+                yield "unknown", query, pred
+            d2, d1 = d1, (pred if gold is None else gold[i])
+
+    def tag_records(self, words: list[str],
+                    gold_left: list[str] | None = None) -> list[TokenRecord]:
+        """Tag one sentence left to right, keeping per-token records: the
+        same loop as `tag`, with the route and query of each token.
+
+        With `gold_left`, the d slots are filled from those tags instead of
+        the tagger's own output, isolating the classifiers from error
+        propagation.
+        """
+        # The walk is zipped first, so that it runs (and rejects an empty
+        # sentence) before zip sees that `words` is exhausted.
+        return [TokenRecord(w, route, query, pred) for (route, query, pred), w
+                in zip(self._walk(words, gold_left), words)]
 
     def tag(self, words: list[str]) -> list[str]:
-        """Tag texts for one sentence; output length equals input length."""
+        """Tag texts for one sentence; output length equals input length.
+        Builds no per-token records."""
         text = self.interner.text
-        return [text(r.prediction) for r in self.tag_records(words)]
+        return [text(pred) for _, _, pred in self._walk(words, None)]
 
     def explain(self, words: list[str], position: int) -> Explanation:
         """The trie path behind one tagging decision: per tested feature the

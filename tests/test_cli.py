@@ -92,6 +92,7 @@ def test_eval_table_and_artifacts(model_path, tmp_path, capsys):
     out = capsys.readouterr().out
     for row in ("Known", "Unknown", "Total"):
         assert row in out
+    assert f"model {os.path.getsize(model_path)} bytes" in out
     assert out_tsv.read_text().splitlines()[0] == "category\taccuracy\tpercentage"
     glines = gains_tsv.read_text().splitlines()
     assert glines[0] == "feature_index\tgain"

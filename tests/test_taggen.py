@@ -149,9 +149,11 @@ def test_extraction_requires_lexicon_coverage(f1):
 
 
 def test_is_number():
-    for text in ("61", "29", "12,345.6", "0", "-7", "+3.14", "1,234,567"):
+    for text in ("61", "29", "12,345.6", "0", "-7", "+3.14", "1,234,567",
+                 "\u0663\u0664"):
         assert is_number(text)
-    for text in ("nov.", "a1", "1st", "1,23", "..", "", "3-4", "1/2"):
+    for text in ("nov.", "a1", "1st", "1,23", "..", "", "3-4", "1/2",
+                 "\u00b2", "12\n"):
         assert not is_number(text)
 
 
@@ -187,6 +189,10 @@ def test_tag_empty_sentence(f1):
     model = train(f1)
     with pytest.raises(ParameterError):
         model.tag([])
+    with pytest.raises(ParameterError):
+        model.tag_records([])
+    with pytest.raises(ParameterError):
+        model.tag_records(["the"], gold_left=[])
 
 
 def test_numbers_routed_to_unknown_tree_even_if_seen():
@@ -218,6 +224,38 @@ def test_routing_is_pure_function_of_lexicon_and_number_test(synth_small):
             else:
                 expect_unknown += 1
     assert (known, unknown) == (expect_known, expect_unknown)
+
+
+@pytest.mark.parametrize("case", ["f1", "synth_small", "single_sentence",
+                                  "numbers_known"])
+def test_tag_and_tag_records_share_one_loop(case, f1, synth_small):
+    """tag() returns the texts of tag_records()' predictions, and every
+    prediction is its route's trie answer for the recorded query."""
+    if case == "single_sentence":
+        corpus = parse_corpus("hello/UH")
+        sentences = [["hello"], ["unseen", "hello"], ["hello", "61", "x"]]
+    else:
+        corpus = f1 if case == "f1" else synth_small
+        sentences = [[t.word for t in s] for s in corpus.sentences[:200]]
+        sentences += [["the", "61", "blorft", "."], ["12,345.6"]]
+    config = TaggerConfig(route_numbers_to_unknown=case != "numbers_known")
+    model = train(corpus, config)
+    if case == "single_sentence":
+        assert model.unknown_tree is None
+    text = model.interner.text
+    entries = model.lexicon.entries
+    for words in sentences:
+        records = model.tag_records(words)
+        assert model.tag(words) == [text(r.prediction) for r in records]
+        for w, rec in zip(words, records):
+            known = w in entries and not (config.route_numbers_to_unknown
+                                          and is_number(w))
+            assert rec.route == ("known" if known else "unknown")
+            tree = (model.known_tree if rec.route == "known"
+                    else model.unknown_tree)
+            expect = (model.fallback_tag if tree is None
+                      else tree.classify(rec.query))
+            assert rec.prediction == expect
 
 
 def test_unknown_right_neighbor_marks_a_slot(f1):
@@ -254,6 +292,9 @@ def test_output_length_invariant(words):
         "the/DT dog/NN saw/VBD the/DT cat/NN ./.\n"
         "a/DT saw/NN cuts/VBZ the/DT wood/NN ./."))
     assert len(model.tag(words)) == len(words)
+    text = model.interner.text
+    assert model.tag(words) == [text(r.prediction)
+                                for r in model.tag_records(words)]
 
 
 def test_variable_context_path_lengths(synth_small):
