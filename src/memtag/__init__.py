@@ -18,7 +18,7 @@ from .ib import classify_ib1, classify_ib1ig, nearest_set
 from .igtree import IGTree, build, prune, stats
 from .interning import Interner
 from .metrics import (class_entropy, distance_overlap, distance_weighted,
-                      information_gain, information_gains)
+                      information_gains)
 from .synth import SynthConfig, synth_corpus
 from .taggen import (TaggerConfig, TaggerModel, build_lexicon,
                      extract_known_cases, extract_unknown_cases, train)

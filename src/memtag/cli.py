@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Subcommands: train, tag, eval, curve, bench. Every run is deterministic
-given its inputs and --seed (timing figures aside). Exit codes: 0 success,
-2 usage or parameter error, 3 model-format error, 4 I/O error.
+given its inputs (and --seed, which only curve and bench take), timing
+figures aside. Exit codes: 0 success, 2 usage or parameter error,
+3 model-format error, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -11,10 +12,9 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 
 from . import evaluation
-from .corpus import read_corpus
+from .corpus import Corpus, read_corpus
 from .errors import ModelFormatError, ParameterError
 from .taggen import TaggerConfig, TaggerModel, train
 
@@ -24,33 +24,23 @@ EXIT_MODEL_FORMAT = 3
 EXIT_IO = 4
 
 
-@dataclass
-class RunConfig:
-    command: str
-    corpus_paths: list[str] = field(default_factory=list)
-    model_path: str | None = None
-    threshold: float = 0.10
-    closed_class_path: str | None = None
-    seed: int = 0
-    folds: int = 10
-    sizes: list[int] = field(default_factory=list)
-    algos: tuple[str, ...] = evaluation.ALGORITHMS
-    jobs: int = 1
-    output_path: str | None = None
-    corpus_format: str = "slash"
-
-    def tagger_config(self) -> TaggerConfig:
-        closed = None
-        if self.closed_class_path:
-            _require_file(self.closed_class_path)
-            with open(self.closed_class_path, encoding="utf-8") as fh:
-                closed = frozenset(line.strip() for line in fh if line.strip())
-        return TaggerConfig(threshold=self.threshold, closed_class_tags=closed)
-
-
 def _require_file(path: str) -> None:
     if not os.path.isfile(path):
         raise ParameterError(f"no such file: {path}")
+
+
+def _tagger_config(args: argparse.Namespace) -> TaggerConfig:
+    closed = None
+    if args.closed_class:
+        _require_file(args.closed_class)
+        with open(args.closed_class, encoding="utf-8") as fh:
+            closed = frozenset(line.strip() for line in fh if line.strip())
+    return TaggerConfig(threshold=args.threshold, closed_class_tags=closed)
+
+
+def _read_corpus(path: str) -> Corpus:
+    _require_file(path)
+    return read_corpus(path)
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -61,24 +51,23 @@ def _write_text(path: str | None, text: str) -> None:
             fh.write(text + "\n")
 
 
-def cmd_train(cfg: RunConfig) -> int:
-    _require_file(cfg.corpus_paths[0])
-    corpus = read_corpus(cfg.corpus_paths[0], cfg.corpus_format)
-    model = train(corpus, cfg.tagger_config())
-    model.save(cfg.model_path)
-    print(f"model written to {cfg.model_path}")
+def cmd_train(args: argparse.Namespace) -> int:
+    corpus = _read_corpus(args.corpus)
+    model = train(corpus, _tagger_config(args))
+    model.save(args.model)
+    print(f"model written to {args.model}")
     print(model.summary())
     return EXIT_OK
 
 
-def cmd_tag(cfg: RunConfig, input_path: str | None, show_stats: bool) -> int:
-    _require_file(cfg.model_path)
-    model = TaggerModel.load(cfg.model_path)
-    if input_path is None:
+def cmd_tag(args: argparse.Namespace) -> int:
+    _require_file(args.model)
+    model = TaggerModel.load(args.model)
+    if args.input is None:
         lines = sys.stdin.read().splitlines()
     else:
-        _require_file(input_path)
-        with open(input_path, encoding="utf-8") as fh:
+        _require_file(args.input)
+        with open(args.input, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
     out_lines = []
     n_words = 0
@@ -93,55 +82,53 @@ def cmd_tag(cfg: RunConfig, input_path: str | None, show_stats: bool) -> int:
         out_lines.append(" ".join(f"{w}/{t}" for w, t in zip(words, tags)))
     elapsed = max(time.perf_counter() - t0, 1e-9)
     text = "\n".join(out_lines)
-    if cfg.output_path is None:
+    if args.output is None:
         if text:
             print(text)
     else:
-        _write_text(cfg.output_path, text)
-    if show_stats:
+        _write_text(args.output, text)
+    if args.stats:
         print(f"{n_words} words in {elapsed:.3f}s "
               f"({n_words / elapsed:,.0f} words/s)", file=sys.stderr)
     return EXIT_OK
 
 
-def cmd_eval(cfg: RunConfig, gold_left: bool, dump_gains: str | None,
-             gains_base: str) -> int:
-    _require_file(cfg.model_path)
-    _require_file(cfg.corpus_paths[0])
-    model = TaggerModel.load(cfg.model_path)
-    test = read_corpus(cfg.corpus_paths[0], cfg.corpus_format)
-    report = evaluation.evaluate(model, test, gold_left_context=gold_left)
+def cmd_eval(args: argparse.Namespace) -> int:
+    _require_file(args.model)
+    model = TaggerModel.load(args.model)
+    test = _read_corpus(args.corpus)
+    report = evaluation.evaluate(model, test,
+                                 gold_left_context=args.gold_left_context)
     print(report.table())
     print(f"{report.total} tokens, {report.words_per_second:,.0f} words/s, "
-          f"model {os.path.getsize(cfg.model_path)} bytes")
-    if cfg.output_path:
-        _write_text(cfg.output_path, report.tsv())
-    if dump_gains:
-        weights = (model.known_weights if gains_base == "known"
+          f"model {os.path.getsize(args.model)} bytes")
+    if args.out:
+        _write_text(args.out, report.tsv())
+    if args.dump_gains:
+        weights = (model.known_weights if args.gains_base == "known"
                    else model.unknown_weights)
-        _write_text(dump_gains, evaluation.gains_tsv(weights))
+        _write_text(args.dump_gains, evaluation.gains_tsv(weights))
     return EXIT_OK
 
 
-def cmd_curve(cfg: RunConfig, gold_left: bool) -> int:
-    _require_file(cfg.corpus_paths[0])
-    corpus = read_corpus(cfg.corpus_paths[0], cfg.corpus_format)
-    if not cfg.sizes:
+def cmd_curve(args: argparse.Namespace) -> int:
+    corpus = _read_corpus(args.corpus)
+    sizes = _parse_sizes(args.sizes)
+    if not sizes:
         raise ParameterError("curve requires --sizes")
     points = evaluation.learning_curve(
-        corpus, cfg.sizes, k=cfg.folds, seed=cfg.seed,
-        config=cfg.tagger_config(), gold_left_context=gold_left,
-        jobs=cfg.jobs)
-    _write_text(cfg.output_path, evaluation.curve_tsv(points))
+        corpus, sizes, k=args.folds, seed=args.seed,
+        config=_tagger_config(args), gold_left_context=args.gold_left_context,
+        jobs=args.jobs)
+    _write_text(args.out, evaluation.curve_tsv(points))
     return EXIT_OK
 
 
-def cmd_bench(cfg: RunConfig, test_fraction: float) -> int:
-    _require_file(cfg.corpus_paths[0])
-    corpus = read_corpus(cfg.corpus_paths[0], cfg.corpus_format)
-    rows = evaluation.bench(corpus, cfg.algos, test_fraction, cfg.seed,
-                            cfg.tagger_config())
-    _write_text(cfg.output_path, evaluation.bench_tsv(rows))
+def cmd_bench(args: argparse.Namespace) -> int:
+    corpus = _read_corpus(args.corpus)
+    rows = evaluation.bench(corpus, tuple(args.algos.split(",")),
+                            args.test_fraction, args.seed, _tagger_config(args))
+    _write_text(args.out, evaluation.bench_tsv(rows))
     return EXIT_OK
 
 
@@ -151,27 +138,28 @@ def build_parser() -> argparse.ArgumentParser:
         description="Generate, run, and evaluate memory-based POS taggers.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--format", default="slash", choices=["slash"],
-                       help="corpus file format")
+    tagger = argparse.ArgumentParser(add_help=False)
+    tagger.add_argument("--threshold", type=float, default=0.10)
+    tagger.add_argument("--closed-class", metavar="FILE")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("train", help="generate a tagger model from a corpus")
+    p = sub.add_parser("train", parents=[tagger],
+                       help="generate a tagger model from a corpus")
+    p.set_defaults(run=cmd_train)
     p.add_argument("corpus")
     p.add_argument("--model", required=True)
-    p.add_argument("--threshold", type=float, default=0.10)
-    p.add_argument("--closed-class", metavar="FILE")
-    common(p)
 
     p = sub.add_parser("tag", help="tag plain sentences, one per line")
+    p.set_defaults(run=cmd_tag)
     p.add_argument("input", nargs="?")
     p.add_argument("--model", required=True)
     p.add_argument("--output", "-o")
     p.add_argument("--stats", action="store_true",
                    help="print throughput to stderr")
-    common(p)
 
     p = sub.add_parser("eval", help="score a model against a tagged corpus")
+    p.set_defaults(run=cmd_eval)
     p.add_argument("corpus")
     p.add_argument("--model", required=True)
     p.add_argument("--gold-left-context", action="store_true")
@@ -179,28 +167,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dump-gains", metavar="FILE")
     p.add_argument("--gains-base", choices=["known", "unknown"],
                    default="known")
-    common(p)
 
-    p = sub.add_parser("curve", help="cross-validated learning curve")
+    p = sub.add_parser("curve", parents=[tagger, seeded],
+                       help="cross-validated learning curve")
+    p.set_defaults(run=cmd_curve)
     p.add_argument("corpus")
     p.add_argument("--sizes", required=True,
                    help="comma-separated token counts")
     p.add_argument("--folds", type=int, default=10)
-    p.add_argument("--threshold", type=float, default=0.10)
-    p.add_argument("--closed-class", metavar="FILE")
     p.add_argument("--gold-left-context", action="store_true")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", metavar="FILE")
-    common(p)
 
-    p = sub.add_parser("bench", help="compare ib1, ib1ig, and igtree")
+    p = sub.add_parser("bench", parents=[tagger, seeded],
+                       help="compare ib1, ib1ig, and igtree")
+    p.set_defaults(run=cmd_bench)
     p.add_argument("corpus")
     p.add_argument("--algos", default=",".join(evaluation.ALGORITHMS))
     p.add_argument("--test-fraction", type=float, default=0.1)
-    p.add_argument("--threshold", type=float, default=0.10)
-    p.add_argument("--closed-class", metavar="FILE")
     p.add_argument("--out", metavar="FILE")
-    common(p)
 
     return parser
 
@@ -214,33 +199,7 @@ def _parse_sizes(text: str) -> list[int]:
 
 def run(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = RunConfig(
-        command=args.command,
-        corpus_paths=[args.corpus] if hasattr(args, "corpus") else [],
-        model_path=getattr(args, "model", None),
-        threshold=getattr(args, "threshold", 0.10),
-        closed_class_path=getattr(args, "closed_class", None),
-        seed=args.seed,
-        folds=getattr(args, "folds", 10),
-        sizes=_parse_sizes(args.sizes) if getattr(args, "sizes", None) else [],
-        algos=tuple(getattr(args, "algos", ",".join(evaluation.ALGORITHMS))
-                    .split(",")),
-        jobs=getattr(args, "jobs", 1),
-        output_path=getattr(args, "out", None) or getattr(args, "output", None),
-        corpus_format=args.format,
-    )
-    if cfg.command == "train":
-        return cmd_train(cfg)
-    if cfg.command == "tag":
-        return cmd_tag(cfg, args.input, args.stats)
-    if cfg.command == "eval":
-        return cmd_eval(cfg, args.gold_left_context, args.dump_gains,
-                        args.gains_base)
-    if cfg.command == "curve":
-        return cmd_curve(cfg, args.gold_left_context)
-    if cfg.command == "bench":
-        return cmd_bench(cfg, args.test_fraction)
-    raise ParameterError(f"unknown command {cfg.command!r}")
+    return args.run(args)
 
 
 def main(argv: list[str] | None = None) -> int:

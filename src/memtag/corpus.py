@@ -38,15 +38,12 @@ class Corpus:
         return len(self.sentences)
 
 
-def parse_corpus(text: str, fmt: str = "slash") -> Corpus:
+def parse_corpus(text: str) -> Corpus:
     """Parse a tagged corpus from a string.
 
-    Only the "slash" format exists today; the parameter is the hook for
-    future formats. Blank lines are skipped; a token without a separator or
-    with an empty word/tag half is an error reported with its line number.
+    Blank lines are skipped; a token without a separator or with an empty
+    word/tag half is an error reported with its line number.
     """
-    if fmt != "slash":
-        raise ParameterError(f"unknown corpus format: {fmt!r}")
     sentences: list[Sentence] = []
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -67,9 +64,9 @@ def parse_corpus(text: str, fmt: str = "slash") -> Corpus:
     return Corpus(sentences)
 
 
-def read_corpus(path: str, fmt: str = "slash") -> Corpus:
+def read_corpus(path: str) -> Corpus:
     with open(path, encoding="utf-8") as fh:
-        return parse_corpus(fh.read(), fmt)
+        return parse_corpus(fh.read())
 
 
 def format_corpus(corpus: Corpus) -> str:

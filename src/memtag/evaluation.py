@@ -23,7 +23,7 @@ from .igtree import build, prune, stats
 from .interning import Interner
 from .metrics import information_gains
 from .taggen import (TaggerConfig, TaggerModel, build_lexicon,
-                     extract_known_cases, is_number, train)
+                     extract_known_cases, gold_known_windows, train)
 
 ALGORITHMS = ("ib1", "ib1ig", "igtree")
 
@@ -200,36 +200,11 @@ def curve_tsv(points: list[LearningCurvePoint]) -> str:
 
 def known_eval_queries(test: Corpus, lexicon, interner: Interner,
                        config: TaggerConfig) -> list[tuple[Vector, int]]:
-    """(query, gold) pairs for every known-word test token, with gold left
-    context. Unseen right neighbors take the unknown marker; unseen gold
-    tags map to NO_SYMBOL and can simply never be predicted."""
-    boundary = interner.boundary
-    unk = interner.unknown_mark
-    entries = lexicon.entries
-    route_numbers = config.route_numbers_to_unknown
-    queries = []
-    for sent in test.sentences:
-        n = len(sent)
-        gold = [interner.id_of(tok.tag) for tok in sent]
-        amb = []
-        for tok in sent:
-            entry = entries.get(tok.word)
-            if entry is None or (route_numbers and is_number(tok.word)):
-                amb.append(None)
-            else:
-                amb.append(entry.ambiguous_tag)
-        for i in range(n):
-            if amb[i] is None:
-                continue
-            if i + 1 == n:
-                a = boundary
-            else:
-                a = amb[i + 1] if amb[i + 1] is not None else unk
-            queries.append(((gold[i - 2] if i >= 2 else boundary,
-                             gold[i - 1] if i >= 1 else boundary,
-                             amb[i], a),
-                            gold[i]))
-    return queries
+    """(query, gold) pairs for every known-route test token, with gold left
+    context: the training window, built without interning. Unseen gold tags
+    map to NO_SYMBOL and can simply never be predicted."""
+    return list(gold_known_windows(test, lexicon, interner, config,
+                                   strict=False))
 
 
 def _cached_accuracy(classify, queries: list[tuple[Vector, int]]) -> float:

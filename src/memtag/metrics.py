@@ -12,7 +12,7 @@ from math import log2
 from typing import Sequence
 
 from .casebase import CaseBase, Vector
-from .errors import ParameterError, StructureError
+from .errors import StructureError
 
 FeatureWeights = tuple[float, ...]
 
@@ -32,16 +32,9 @@ def class_entropy(base: CaseBase) -> float:
     return _entropy(list(base.class_counts().values()), base.total_cases)
 
 
-def information_gain(base: CaseBase, feature_index: int) -> float:
-    """Expected reduction of class entropy from knowing one feature's value."""
-    if not 0 <= feature_index < base.arity:
-        raise ParameterError(
-            f"feature index {feature_index} out of range for arity {base.arity}")
-    return information_gains(base)[feature_index]
-
-
 def information_gains(base: CaseBase) -> FeatureWeights:
-    """Per-feature gains G(f_i) for all features, in one pass over the base."""
+    """Per-feature gains G(f_i), each the expected reduction of class
+    entropy from knowing that feature's value, in one pass over the base."""
     if base.total_cases == 0:
         raise StructureError("gains of an empty case base")
     total = base.total_cases

@@ -9,14 +9,20 @@ shared interner is the tagger model.
 Case layouts
     known   (d-2, d-1, f, a+1) -> t   two disambiguated left tags, the focus
                                       word's lexicon tag, the right
-                                      neighbor's lexicon tag
+                                      neighbor's a+1 value
     unknown (p, d-1, a+1, s3, s2, s1) -> t   first letter, one disambiguated
-                                      left tag, the right neighbor's lexicon
-                                      tag, and the last three letters
+                                      left tag, the right neighbor's a+1
+                                      value, and the last three letters
 
-During tagging the d slots come from the tagger's own earlier output (or
-from gold tags when replaying with gold left context), never from the
-lexicon. Windows never cross sentence boundaries; missing slots hold "=".
+Routing is defined once (`known_route_tags`): a word takes the known route
+when it is in the lexicon and is not a numeral routed to the unknown base.
+The a+1 value of a token is its right neighbor's known-route lexicon tag, or
+"UNK-A" when the neighbor is unseen or a numeral; training, tagging and the
+oracle build it the same way, so the query built at tagging time is the case
+training stored for the same context. During tagging the d slots come from
+the tagger's own earlier output (or from gold tags when replaying with gold
+left context), never from the lexicon. Windows never cross sentence
+boundaries; missing slots hold "=".
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from __future__ import annotations
 import re
 import struct
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .casebase import CaseBase, Vector, majority_class
 from .corpus import Corpus
@@ -180,35 +186,69 @@ def lexicon_from_tag_counts(
     return lexicon
 
 
+def known_route_tags(lexicon: Lexicon, config: TaggerConfig) -> dict[str, int]:
+    """The routing rule: word -> lexicon tag for every word that takes the
+    known route. That is every lexicon word, minus the numerals when
+    `route_numbers_to_unknown` is set; any other word takes the unknown
+    route."""
+    route_numbers = config.route_numbers_to_unknown
+    return {word: entry.ambiguous_tag for word, entry in lexicon.entries.items()
+            if not (route_numbers and is_number(word))}
+
+
+def _route(words: Sequence[str], known_tags: dict[str, int],
+           interner: Interner) -> tuple[list[int | None], list[int]]:
+    """Per token of one sentence: the focus tag (None for the unknown route)
+    and the a+1 value (the next token's focus tag, the unknown marker when
+    that token takes the unknown route, the boundary after the last)."""
+    focus = list(map(known_tags.get, words))
+    unk_mark = interner.unknown_mark
+    right = [unk_mark if f is None else f for f in focus[1:]]
+    right.append(interner.boundary)
+    return focus, right
+
+
+def gold_known_windows(corpus: Corpus, lexicon: Lexicon, interner: Interner,
+                       config: TaggerConfig, strict: bool
+                       ) -> Iterator[tuple[Vector, int]]:
+    """(d-2, d-1, f, a+1) -> gold tag for every known-route token, the d
+    slots holding the gold tags of the left neighbors.
+
+    In strict mode (training) gold tags are interned and every word must be
+    in the lexicon. Otherwise (scoring held-out text) nothing is interned:
+    unseen gold tags map to NO_SYMBOL and unseen words take the unknown
+    route.
+    """
+    known_tags = known_route_tags(lexicon, config)
+    entries = lexicon.entries
+    symbol = interner.intern if strict else interner.id_of
+    boundary = interner.boundary
+    for sent in filter(None, corpus.sentences):  # zip(*sent) needs a token
+        words, tags = zip(*sent)
+        gold = list(map(symbol, tags))
+        focus, right = _route(words, known_tags, interner)
+        d2 = d1 = boundary
+        for word, f, a, g in zip(words, focus, right, gold):
+            if f is not None:
+                yield (d2, d1, f, a), g
+            elif strict and word not in entries:
+                raise StructureError(f"word {word!r} not in lexicon")
+            d2, d1 = d1, g
+
+
 def extract_known_cases(corpus: Corpus, lexicon: Lexicon, interner: Interner,
                         config: TaggerConfig = TaggerConfig()) -> CaseBase:
-    """One (d-2, d-1, f, a+1) -> gold case per training token.
+    """One (d-2, d-1, f, a+1) -> gold case per known-route training token.
 
     The d slots take the gold tags of the left neighbors (training stands in
-    for earlier tagger decisions), f and a+1 the lexicon tags. Tokens that
-    would be routed to the unknown-word base at tagging time (numbers, when
-    that routing is on) contribute no case. Every corpus word must be in the
-    lexicon.
+    for earlier tagger decisions), f the lexicon tag, and a+1 the right
+    neighbor's known-route lexicon tag or the unknown marker. Tokens routed
+    to the unknown-word base (numbers, when that routing is on) contribute
+    no case. Every corpus word must be in the lexicon.
     """
     base = CaseBase(KNOWN_ARITY, interner)
-    boundary = interner.boundary
-    entries = lexicon.entries
-    skip_numbers = config.route_numbers_to_unknown
-    for sent in corpus.sentences:
-        n = len(sent)
-        gold = [interner.intern(tok.tag) for tok in sent]
-        try:
-            amb = [entries[tok.word].ambiguous_tag for tok in sent]
-        except KeyError as exc:
-            raise StructureError(f"word {exc.args[0]!r} not in lexicon") from exc
-        for i in range(n):
-            if skip_numbers and is_number(sent[i].word):
-                continue
-            base.add((gold[i - 2] if i >= 2 else boundary,
-                      gold[i - 1] if i >= 1 else boundary,
-                      amb[i],
-                      amb[i + 1] if i + 1 < n else boundary),
-                     gold[i])
+    base.add_many(gold_known_windows(corpus, lexicon, interner, config,
+                                     strict=True))
     return base
 
 
@@ -228,31 +268,30 @@ def _letter_slots(word: str, interner: Interner, strict: bool) -> tuple[int, int
 def extract_unknown_cases(corpus: Corpus, lexicon: Lexicon, interner: Interner,
                           config: TaggerConfig = TaggerConfig()) -> CaseBase:
     """One (p, d-1, a+1, s3, s2, s1) -> gold case per open-class training
-    token. Letters come from the raw form, case-sensitive: the first letter
-    carries prefix and capitalization information."""
+    token, with a+1 built as for the known cases. Letters come from the raw
+    form, case-sensitive: the first letter carries prefix and capitalization
+    information. Every corpus word must be in the lexicon."""
     base = CaseBase(UNKNOWN_ARITY, interner)
-    boundary = interner.boundary
+    known_tags = known_route_tags(lexicon, config)
     entries = lexicon.entries
-    for sent in corpus.sentences:
-        n = len(sent)
-        gold = [interner.intern(tok.tag) for tok in sent]
-        try:
-            amb = [entries[tok.word].ambiguous_tag for tok in sent]
-        except KeyError as exc:
-            raise StructureError(f"word {exc.args[0]!r} not in lexicon") from exc
-        for i in range(n):
-            if not config.is_open_class(sent[i].tag):
-                continue
-            first, s3, s2, s1 = _letter_slots(sent[i].word, interner, strict=True)
-            base.add((first,
-                      gold[i - 1] if i >= 1 else boundary,
-                      amb[i + 1] if i + 1 < n else boundary,
-                      s3, s2, s1),
-                     gold[i])
+    intern = interner.intern
+    is_open_class = config.is_open_class
+    for sent in filter(None, corpus.sentences):  # zip(*sent) needs a token
+        words, tags = zip(*sent)
+        gold = list(map(intern, tags))
+        focus, right = _route(words, known_tags, interner)
+        d1 = interner.boundary
+        for word, tag, f, a, g in zip(words, tags, focus, right, gold):
+            if f is None and word not in entries:
+                raise StructureError(f"word {word!r} not in lexicon")
+            if is_open_class(tag):
+                first, s3, s2, s1 = _letter_slots(word, interner, strict=True)
+                base.add((first, d1, a, s3, s2, s1), g)
+            d1 = g
     return base
 
 
-@dataclass
+@dataclass(slots=True)
 class TokenRecord:
     """What the tagger did for one token: the route it took, the query it
     built, and the class it produced."""
@@ -283,11 +322,10 @@ class TaggerModel:
     """Lexicon + two tries + weights + config, sharing one interner.
 
     Routing is resolved once per lexicon word when the model is built (by
-    `train` or on load): a map from each word that takes the known route to
-    its lexicon tag, so tagging a token costs one dict lookup and never runs
-    the numeral test. Immutable after training or loading, so one model can
-    serve concurrent tagging calls; the sequential dependency is within a
-    sentence only.
+    `train` or on load) with `known_route_tags`, so tagging a token costs
+    one dict lookup and never runs the numeral test. Immutable after
+    training or loading, so one model can serve concurrent tagging calls;
+    the sequential dependency is within a sentence only.
     """
 
     __slots__ = ("interner", "lexicon", "config", "known_weights",
@@ -306,10 +344,7 @@ class TaggerModel:
         self.known_tree = known_tree
         self.unknown_tree = unknown_tree
         self.fallback_tag = fallback_tag
-        route_numbers = config.route_numbers_to_unknown
-        self._known_tags = {
-            word: entry.ambiguous_tag for word, entry in lexicon.entries.items()
-            if not (route_numbers and is_number(word))}
+        self._known_tags = known_route_tags(lexicon, config)
 
     # -- tagging ---------------------------------------------------------
 
@@ -318,10 +353,11 @@ class TaggerModel:
         """Tag one sentence left to right, yielding (route, query,
         prediction) per token.
 
-        A word outside the known-route map takes the unknown route, and its
-        left neighbor's a+1 slot holds the unknown marker. With `gold_left`
-        the d slots hold those tags instead of the tagger's own output. A
-        route without a tree answers the fallback tag.
+        Routing and a+1 come from `_route`, as in training. With
+        `gold_left` the d slots hold those tags instead of the tagger's own
+        output. A route without a tree answers the fallback tag. The
+        windows are built inline: a shared window generator would cost an
+        extra generator step per token.
         """
         if not words:
             raise ParameterError("cannot tag an empty sentence")
@@ -329,25 +365,22 @@ class TaggerModel:
             raise ParameterError("gold_left length differs from sentence length")
         interner = self.interner
         boundary = interner.boundary
-        unk_mark = interner.unknown_mark
         fallback = self.fallback_tag
         known_tree, unknown_tree = self.known_tree, self.unknown_tree
-        focus = list(map(self._known_tags.get, words))
-        right = [unk_mark if f is None else f for f in focus]
-        right.append(boundary)
+        focus, right = _route(words, self._known_tags, interner)
         gold = (None if gold_left is None
                 else [interner.id_of(t) for t in gold_left])
         d2 = d1 = boundary
         for i, w in enumerate(words):
             f = focus[i]
             if f is not None:
-                query = (d2, d1, f, right[i + 1])
+                query = (d2, d1, f, right[i])
                 pred = (known_tree.classify(query) if known_tree is not None
                         else fallback)
                 yield "known", query, pred
             else:
                 first, s3, s2, s1 = _letter_slots(w, interner, strict=False)
-                query = (first, d1, right[i + 1], s3, s2, s1)
+                query = (first, d1, right[i], s3, s2, s1)
                 pred = (unknown_tree.classify(query)
                         if unknown_tree is not None else fallback)
                 yield "unknown", query, pred

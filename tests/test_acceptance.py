@@ -262,10 +262,17 @@ def test_criterion_7_learning_curve(synth_300k):
 # -- 8. training-set consistency ----------------------------------------------
 
 def _consistency(corpus, config=TaggerConfig()):
+    """Tag the training corpus with gold left context. Every known-route
+    query, and every unknown-route query of an open-class token, must be a
+    case training stored; every query stored with one class must get it."""
     model = train(corpus, config)
     interner = model.interner
-    known = extract_known_cases(corpus, model.lexicon, interner, config)
-    unknown = extract_unknown_cases(corpus, model.lexicon, interner, config)
+    bases = {
+        "known": extract_known_cases(corpus, model.lexicon, interner, config),
+        "unknown": extract_unknown_cases(corpus, model.lexicon, interner,
+                                         config)}
+    queries = {"known": 0, "unknown": 0}
+    missing = {"known": 0, "unknown": 0}
     checked = failures = 0
     text = interner.text
     for sent in corpus.sentences:
@@ -273,21 +280,33 @@ def _consistency(corpus, config=TaggerConfig()):
         gold = [t.tag for t in sent]
         records = model.tag_records(words, gold_left=gold)
         for i, rec in enumerate(records):
-            base = known if rec.route == "known" else unknown
-            dist = base.patterns.get(rec.query)
-            if dist is not None and len(dist) == 1:
+            if rec.route == "unknown" and not config.is_open_class(gold[i]):
+                continue
+            queries[rec.route] += 1
+            dist = bases[rec.route].patterns.get(rec.query)
+            if dist is None:
+                missing[rec.route] += 1
+            elif len(dist) == 1:
                 checked += 1
                 if text(rec.prediction) != gold[i]:
                     failures += 1
-    return checked, failures
+    return queries, missing, checked, failures
 
 
 def test_criterion_8_training_set_consistency(f1, synth_medium):
     def check():
-        for corpus in (f1, synth_medium):
-            checked, failures = _consistency(corpus)
+        runs = ((f1, TaggerConfig()), (synth_medium, TaggerConfig()),
+                (synth_medium, TaggerConfig(route_numbers_to_unknown=False)))
+        unknown_queries = []
+        for corpus, config in runs:
+            queries, missing, checked, failures = _consistency(corpus, config)
             assert checked > 0
+            assert missing == {"known": 0, "unknown": 0}, \
+                f"queries not stored: {missing} of {queries}"
             assert failures == 0, f"{failures}/{checked} unambiguous misses"
+            unknown_queries.append(queries["unknown"])
+        # synth_medium's numerals take the unknown route only by default.
+        assert unknown_queries[1] > 0 and unknown_queries[2] == 0
 
     _report(8, "training-set consistency", check)
 

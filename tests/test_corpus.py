@@ -43,11 +43,6 @@ def test_parse_errors_carry_line_numbers():
         parse_corpus("/DT")
 
 
-def test_parse_unknown_format():
-    with pytest.raises(ParameterError):
-        parse_corpus("a/B", fmt="conll")
-
-
 def test_blank_lines_skipped():
     c = parse_corpus("a/A b/B\n\nc/C\n")
     assert len(c) == 2

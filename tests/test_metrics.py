@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from memtag.casebase import CaseBase
-from memtag.errors import ParameterError, StructureError
+from memtag.errors import StructureError
 from memtag.interning import Interner
 from memtag.metrics import (class_entropy, distance_overlap,
-                            distance_weighted, information_gain,
-                            information_gains)
+                            distance_weighted, information_gains)
 from memtag.taggen import build_lexicon, extract_known_cases
 
 
@@ -57,23 +56,15 @@ def test_entropy_empty_base():
 
 def test_gain_constant_feature():
     base = make_base([(("k", "a"), "X"), (("k", "b"), "Y"), (("k", "c"), "X")], 2)
-    assert information_gain(base, 0) == 0.0
+    assert information_gains(base)[0] == 0.0
 
 
 def test_gain_perfect_predictor():
     base = make_base(
         [(("a", "q"), "X"), (("b", "q"), "Y"), (("a", "r"), "X"),
          (("c", "q"), "Z")], 2)
-    assert information_gain(base, 0) == pytest.approx(class_entropy(base),
-                                                      abs=1e-12)
-
-
-def test_gain_index_out_of_range():
-    base = make_base([(("a", "b"), "X")], 2)
-    with pytest.raises(ParameterError):
-        information_gain(base, 2)
-    with pytest.raises(ParameterError):
-        information_gain(base, -1)
+    assert information_gains(base)[0] == pytest.approx(class_entropy(base),
+                                                       abs=1e-12)
 
 
 def test_gain_focus_dominates_on_f1(f1):

@@ -93,6 +93,8 @@ def test_known_cases_number_focus_configurable(pv):
     default_rows = [v for v, _ in rows_of(extract_known_cases(corpus, lexicon,
                                                               interner))]
     assert ("np", ",", "cd", "nns") not in default_rows  # 61 routed away
+    # the "," before 61 sees the numeral as tagging does: UNK-A
+    assert default_rows[2] == ("np", "np", ",", "UNK-A")
     keep = TaggerConfig(route_numbers_to_unknown=False)
     kept_rows = rows_of(extract_known_cases(corpus, lexicon, interner, keep))
     assert kept_rows[3] == (("np", ",", "cd", "nns"), {"cd": 1})
@@ -104,6 +106,8 @@ def test_unknown_cases_table_rows(pv):
     assert rows[0] == (("P", "=", "np", "r", "r", "e"), {"np": 1})   # Pierre
     assert rows[1] == (("V", "np", ",", "k", "e", "n"), {"np": 1})   # Vinken
     assert rows[2] == (("6", ",", "nns", "=", "6", "1"), {"cd": 1})  # 61
+    # nov. before the numeral 29
+    assert (("n", "nn", "UNK-A", "o", "v", "."), {"np": 1}) in rows
 
 
 def test_unknown_cases_open_class_only(pv):
