@@ -5,15 +5,15 @@ Learns a tagger from any tagged corpus: a lexicon plus two case bases
 by information gain and compressed into an oblivious decision trie that
 classifies in time independent of the number of training cases. Brute-force
 nearest-neighbor classifiers are included as reference oracles, along with
-an evaluation and benchmarking harness.
+evaluation, cross-validation, learning curves and an algorithm comparison.
 """
 
 from .casebase import CaseBase, majority_class
 from .corpus import Corpus, Token, cv_folds, parse_corpus, read_corpus, split, write_corpus
 from .errors import (CorpusParseError, EmptyCorpusError, ModelFormatError,
                      ParameterError, StructureError)
-from .evaluation import (EvalReport, bench, compare_algorithms,
-                         cross_validate, evaluate, learning_curve)
+from .evaluation import (EvalReport, compare_algorithms, cross_validate,
+                         evaluate, learning_curve)
 from .ib import classify_ib1, classify_ib1ig, nearest_set
 from .igtree import IGTree, build, prune, stats
 from .interning import Interner

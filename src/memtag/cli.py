@@ -1,9 +1,9 @@
 """Command-line entry point.
 
-Subcommands: train, tag, eval, curve, bench. Every run is deterministic
-given its inputs (and --seed, which only curve and bench take), timing
-figures aside. Exit codes: 0 success, 2 usage or parameter error,
-3 model-format error, 4 I/O error.
+Subcommands: train, tag, eval, curve. Every run is deterministic given its
+inputs (and --seed, which only curve takes), timing figures aside. Exit
+codes: 0 success, 2 usage or parameter error, 3 model-format error, 4 I/O
+error.
 """
 
 from __future__ import annotations
@@ -124,14 +124,6 @@ def cmd_curve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    corpus = _read_corpus(args.corpus)
-    rows = evaluation.bench(corpus, tuple(args.algos.split(",")),
-                            args.test_fraction, args.seed, _tagger_config(args))
-    _write_text(args.out, evaluation.bench_tsv(rows))
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="memtag",
@@ -141,8 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
     tagger = argparse.ArgumentParser(add_help=False)
     tagger.add_argument("--threshold", type=float, default=0.10)
     tagger.add_argument("--closed-class", metavar="FILE")
-    seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("train", parents=[tagger],
                        help="generate a tagger model from a corpus")
@@ -168,23 +158,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gains-base", choices=["known", "unknown"],
                    default="known")
 
-    p = sub.add_parser("curve", parents=[tagger, seeded],
+    p = sub.add_parser("curve", parents=[tagger],
                        help="cross-validated learning curve")
     p.set_defaults(run=cmd_curve)
     p.add_argument("corpus")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sizes", required=True,
                    help="comma-separated token counts")
     p.add_argument("--folds", type=int, default=10)
     p.add_argument("--gold-left-context", action="store_true")
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--out", metavar="FILE")
-
-    p = sub.add_parser("bench", parents=[tagger, seeded],
-                       help="compare ib1, ib1ig, and igtree")
-    p.set_defaults(run=cmd_bench)
-    p.add_argument("corpus")
-    p.add_argument("--algos", default=",".join(evaluation.ALGORITHMS))
-    p.add_argument("--test-fraction", type=float, default=0.1)
     p.add_argument("--out", metavar="FILE")
 
     return parser

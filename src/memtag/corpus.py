@@ -27,10 +27,6 @@ class Corpus:
     sentences: list[Sentence] = field(default_factory=list)
 
     @property
-    def tagset(self) -> set[str]:
-        return {tok.tag for sent in self.sentences for tok in sent}
-
-    @property
     def token_count(self) -> int:
         return sum(len(s) for s in self.sentences)
 

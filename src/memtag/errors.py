@@ -24,4 +24,5 @@ class EmptyCorpusError(CorpusParseError):
 
 
 class ModelFormatError(ValueError):
-    """A model file has bad magic bytes, an unsupported version, or truncated data."""
+    """A model file has bad magic bytes, an unsupported version, or truncated
+    or out-of-range data."""

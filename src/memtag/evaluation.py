@@ -1,10 +1,11 @@
-"""Accuracy measurement, cross-validation, learning curves, and benchmarks.
+"""Accuracy measurement, cross-validation, learning curves, and the
+comparison of the tree classifier with its brute-force references.
 
 Accuracy is split between known and unknown words by the tagger's own
-routing decision. The benchmark harness compares the tree classifier with
-the brute-force reference classifiers on one shared train/test split, using
-known-word queries built with gold left context, the setting that isolates
-classifier quality from error propagation.
+routing decision. The algorithm comparison scores IB1, IB1-IG and IGTree on
+one shared train/test split, using known-word queries built with gold left
+context, the setting that isolates classifier quality from error
+propagation.
 """
 
 from __future__ import annotations
@@ -17,16 +18,13 @@ from statistics import mean, pstdev
 
 from . import ib
 from .casebase import Vector
-from .corpus import Corpus, cv_folds, split
+from .corpus import Corpus, cv_folds
 from .errors import ParameterError
-from .igtree import build, prune, stats
+from .igtree import build, prune
 from .interning import Interner
 from .metrics import information_gains
 from .taggen import (TaggerConfig, TaggerModel, build_lexicon,
                      extract_known_cases, gold_known_windows, train)
-
-ALGORITHMS = ("ib1", "ib1ig", "igtree")
-
 
 @dataclass
 class EvalReport:
@@ -120,35 +118,31 @@ class CVResult:
     reports: list[EvalReport]
 
 
-def _fold_eval(args) -> EvalReport:
-    train_c, test_c, config, gold_left = args
-    model = train(train_c, config)
-    return evaluate(model, test_c, gold_left_context=gold_left)
+def _on_folds(fn, corpus: Corpus, k: int, seed: int, jobs: int,
+              *extra) -> list:
+    """fn(train, test, *extra) on every cross-validation fold, in `jobs`
+    worker processes when jobs > 1 (fn must then be a module-level function,
+    which pickles by name)."""
+    calls = [(tr, te, *extra) for tr, te in cv_folds(corpus, k, seed)]
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, *zip(*calls)))
+    return [fn(*call) for call in calls]
 
 
-def _metric(report: EvalReport, metric: str) -> float:
-    if metric == "total":
-        return report.accuracy_total
-    if metric == "known":
-        return report.accuracy_known
-    if metric == "unknown":
-        return report.accuracy_unknown
-    raise ParameterError(f"unknown metric {metric!r}")
+def _fold_eval(train_c: Corpus, test_c: Corpus, config: TaggerConfig,
+               gold_left_context: bool) -> EvalReport:
+    return evaluate(train(train_c, config), test_c, gold_left_context)
 
 
 def cross_validate(corpus: Corpus, k: int = 10, seed: int = 0,
                    config: TaggerConfig = TaggerConfig(),
-                   gold_left_context: bool = False, metric: str = "total",
+                   gold_left_context: bool = False,
                    jobs: int = 1) -> CVResult:
-    """Train and evaluate once per fold; aggregate the chosen accuracy."""
-    folds = cv_folds(corpus, k, seed)
-    args = [(tr, te, config, gold_left_context) for tr, te in folds]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(_fold_eval, args))
-    else:
-        reports = [_fold_eval(a) for a in args]
-    values = [_metric(r, metric) for r in reports]
+    """Train and evaluate once per fold; aggregate the total accuracy."""
+    reports = _on_folds(_fold_eval, corpus, k, seed, jobs, config,
+                        gold_left_context)
+    values = [r.accuracy_total for r in reports]
     return CVResult(mean(values), pstdev(values), reports)
 
 
@@ -161,7 +155,7 @@ class LearningCurvePoint:
 
 def learning_curve(corpus: Corpus, sizes: list[int], k: int = 10,
                    seed: int = 0, config: TaggerConfig = TaggerConfig(),
-                   gold_left_context: bool = False, metric: str = "total",
+                   gold_left_context: bool = False,
                    jobs: int = 1) -> list[LearningCurvePoint]:
     """One cross-validated accuracy per dataset size (in tokens).
 
@@ -184,7 +178,7 @@ def learning_curve(corpus: Corpus, sizes: list[int], k: int = 10,
             sub.append(sent)
             tokens += len(sent)
         result = cross_validate(Corpus(sub), k, seed, config,
-                                gold_left_context, metric, jobs)
+                                gold_left_context, jobs)
         points.append(LearningCurvePoint(tokens, result.mean, result.stddev))
     return points
 
@@ -225,64 +219,27 @@ def _cached_accuracy(classify, queries: list[tuple[Vector, int]]) -> float:
 
 
 def compare_algorithms(train_c: Corpus, test_c: Corpus,
-                       algos: tuple[str, ...] = ALGORITHMS,
                        config: TaggerConfig = TaggerConfig()) -> dict[str, float]:
-    """Known-word accuracy of each algorithm on one shared split."""
-    for algo in algos:
-        if algo not in ALGORITHMS:
-            raise ParameterError(f"unknown algorithm {algo!r}")
+    """Known-word accuracy of IB1, IB1-IG and IGTree on one shared split."""
     interner = Interner()
     lexicon = build_lexicon(train_c, interner, config.threshold)
     base = extract_known_cases(train_c, lexicon, interner, config)
     weights = information_gains(base)
     tree = prune(build(base, weights))
     queries = known_eval_queries(test_c, lexicon, interner, config)
-    out = {}
-    for algo in algos:
-        if algo == "ib1":
-            out[algo] = _cached_accuracy(lambda q: ib.classify_ib1(base, q),
-                                         queries)
-        elif algo == "ib1ig":
-            out[algo] = _cached_accuracy(
-                lambda q: ib.classify_ib1ig(base, weights, q), queries)
-        else:
-            out[algo] = _cached_accuracy(tree.classify, queries)
-    return out
-
-
-def _compare_fold(args) -> dict[str, float]:
-    train_c, test_c, algos, config = args
-    return compare_algorithms(train_c, test_c, algos, config)
+    return {
+        "ib1": _cached_accuracy(lambda q: ib.classify_ib1(base, q), queries),
+        "ib1ig": _cached_accuracy(
+            lambda q: ib.classify_ib1ig(base, weights, q), queries),
+        "igtree": _cached_accuracy(tree.classify, queries),
+    }
 
 
 def compare_on_folds(corpus: Corpus, k: int = 10, seed: int = 0,
-                     algos: tuple[str, ...] = ALGORITHMS,
                      config: TaggerConfig = TaggerConfig(),
                      jobs: int = 1) -> list[dict[str, float]]:
     """compare_algorithms on every cross-validation fold."""
-    folds = cv_folds(corpus, k, seed)
-    args = [(tr, te, algos, config) for tr, te in folds]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_compare_fold, args))
-    return [_compare_fold(a) for a in args]
-
-
-@dataclass
-class BenchRow:
-    algo: str
-    accuracy: float
-    train_s: float
-    words_per_s: float
-    mem_bytes: int
-
-
-def bench_tsv(rows: list[BenchRow]) -> str:
-    lines = ["algo\taccuracy\ttrain_s\twords_per_s\tmem_bytes"]
-    for r in rows:
-        lines.append(f"{r.algo}\t{r.accuracy:.6f}\t{r.train_s:.3f}"
-                     f"\t{r.words_per_s:.0f}\t{r.mem_bytes}")
-    return "\n".join(lines)
+    return _on_folds(compare_algorithms, corpus, k, seed, jobs, config)
 
 
 def gains_tsv(weights) -> str:
@@ -290,51 +247,3 @@ def gains_tsv(weights) -> str:
     for i, g in enumerate(weights):
         lines.append(f"{i}\t{g:.6f}")
     return "\n".join(lines)
-
-
-def bench(corpus: Corpus, algos: tuple[str, ...] = ALGORITHMS,
-          test_fraction: float = 0.1, seed: int = 0,
-          config: TaggerConfig = TaggerConfig(),
-          brute_sample: int = 100) -> list[BenchRow]:
-    """Accuracy, train time, query throughput, and memory per algorithm on
-    one split. Brute-force throughput is measured on a query sample after a
-    warm-up pass; accuracy always uses the full query set."""
-    for algo in algos:
-        if algo not in ALGORITHMS:
-            raise ParameterError(f"unknown algorithm {algo!r}")
-    train_c, test_c = split(corpus, test_fraction, seed)
-    rows = []
-    for algo in algos:
-        t0 = time.perf_counter()
-        interner = Interner()
-        lexicon = build_lexicon(train_c, interner, config.threshold)
-        base = extract_known_cases(train_c, lexicon, interner, config)
-        if algo == "ib1":
-            classify = lambda q: ib.classify_ib1(base, q)
-            mem = base.total_cases * (base.arity + 1) * 4
-        elif algo == "ib1ig":
-            weights = information_gains(base)
-            classify = lambda q: ib.classify_ib1ig(base, weights, q)
-            mem = base.total_cases * (base.arity + 1) * 4
-        else:
-            weights = information_gains(base)
-            tree = prune(build(base, weights))
-            classify = tree.classify
-            mem = stats(tree).serialized_bytes
-        train_s = time.perf_counter() - t0
-
-        queries = known_eval_queries(test_c, lexicon, interner, config)
-        accuracy = _cached_accuracy(classify, queries)
-
-        sample = [q for q, _ in queries]
-        if algo != "igtree":
-            sample = sample[:brute_sample]
-        for q in sample[:10]:  # warm-up, discarded
-            classify(q)
-        t0 = time.perf_counter()
-        for q in sample:
-            classify(q)
-        elapsed = max(time.perf_counter() - t0, 1e-9)
-        rows.append(BenchRow(algo, accuracy, train_s,
-                             len(sample) / elapsed, mem))
-    return rows

@@ -158,18 +158,6 @@ class TreeStats:
     def compression_ratio(self) -> float:
         return self.serialized_bytes / self.expanded_bytes
 
-    def tsv(self) -> str:
-        rows = [
-            ("nodes", self.nodes),
-            ("leaves", self.leaves),
-            ("arcs", self.arcs),
-            ("max_depth", self.max_depth),
-            ("serialized_bytes", self.serialized_bytes),
-            ("expanded_bytes", self.expanded_bytes),
-            ("compression_ratio", f"{self.compression_ratio:.4f}"),
-        ]
-        return "\n".join(f"{k}\t{v}" for k, v in rows)
-
 
 def stats(tree: IGTree) -> TreeStats:
     """Size report; the expanded baseline is the flat store of all trained
@@ -227,6 +215,8 @@ def tree_from_bytes(buf: bytes, offset: int = 0) -> tuple[IGTree, int]:
         for _ in range(arity):
             i, offset = _read_u32(buf, offset)
             order.append(i)
+        if sorted(order) != list(range(arity)):
+            raise ModelFormatError("feature order is not a permutation")
         root, offset = _read_node(buf, offset)
     except struct.error as exc:
         raise ModelFormatError(f"truncated tree section: {exc}") from exc

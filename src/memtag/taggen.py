@@ -124,14 +124,6 @@ class Lexicon:
         amb = sum(e.total for e in self.entries.values() if e.is_ambiguous)
         return amb / self.total_tokens
 
-    def ambiguous_tagset(self) -> set[int]:
-        """All lexicon tags plus every base tag seen in training."""
-        tags: set[int] = set()
-        for entry in self.entries.values():
-            tags.update(entry.tag_counts)
-            tags.add(entry.ambiguous_tag)
-        return tags
-
 
 def _make_entry(word: str, counts: dict[int, int], interner: Interner,
                 threshold: float) -> LexicalEntry:
@@ -481,15 +473,17 @@ class TaggerModel:
             off = 6
             interner, off = _r_interner(buf, off)
             lexicon, off = _r_lexicon(buf, off, interner)
-            known_w, off = _r_weights(buf, off)
-            unknown_w, off = _r_weights(buf, off)
-            known_tree, off = _r_tree(buf, off)
-            unknown_tree, off = _r_tree(buf, off)
+            known_w, off = _r_weights(buf, off, KNOWN_ARITY)
+            unknown_w, off = _r_weights(buf, off, UNKNOWN_ARITY)
+            known_tree, off = _r_tree(buf, off, KNOWN_ARITY, len(interner))
+            unknown_tree, off = _r_tree(buf, off, UNKNOWN_ARITY, len(interner))
             config, fallback, off = _r_config(buf, off)
         except (struct.error, IndexError, UnicodeDecodeError) as exc:
             raise ModelFormatError(f"corrupt model file: {exc}") from exc
         if off != len(buf):
             raise ModelFormatError(f"{len(buf) - off} trailing bytes")
+        if fallback >= len(interner):
+            raise ModelFormatError(f"fallback tag {fallback} is not a symbol")
         return cls(interner, lexicon, config, known_w, unknown_w,
                    known_tree, unknown_tree, fallback)
 
@@ -621,10 +615,13 @@ def _w_lexicon(out: bytearray, lexicon: Lexicon, interner: Interner) -> None:
 
 def _r_lexicon(buf: bytes, off: int, interner: Interner) -> tuple[Lexicon, int]:
     n_entries, off = _r_u32(buf, off)
+    n_symbols = len(interner)
     lexicon = Lexicon()
     for _ in range(n_entries):
         word_id, off = _r_u32(buf, off)
         amb, off = _r_u32(buf, off)
+        if amb >= n_symbols:
+            raise ModelFormatError(f"lexicon tag {amb} is not a symbol")
         n_surv, off = _r_u32(buf, off)
         surviving = []
         for _ in range(n_surv):
@@ -647,8 +644,11 @@ def _w_weights(out: bytearray, weights: FeatureWeights) -> None:
     out += struct.pack(f"<{len(weights)}d", *weights)
 
 
-def _r_weights(buf: bytes, off: int) -> tuple[FeatureWeights, int]:
+def _r_weights(buf: bytes, off: int, arity: int
+               ) -> tuple[FeatureWeights, int]:
     n, off = _r_u32(buf, off)
+    if n != arity:
+        raise ModelFormatError(f"{n} weights for arity {arity}")
     weights = struct.unpack_from(f"<{n}d", buf, off)
     return tuple(weights), off + 8 * n
 
@@ -661,9 +661,25 @@ def _w_tree(out: bytearray, tree: IGTree | None) -> None:
     out += tree_to_bytes(tree)
 
 
-def _r_tree(buf: bytes, off: int) -> tuple[IGTree | None, int]:
+def _r_tree(buf: bytes, off: int, arity: int, n_symbols: int
+            ) -> tuple[IGTree | None, int]:
+    """A tree section, checked so that tagging cannot fail on it: the arity
+    is its case base's, and every default and arc value is a symbol."""
     present = buf[off]
     off += 1
     if present == 0:
         return None, off
-    return tree_from_bytes(buf, off)
+    tree, off = tree_from_bytes(buf, off)
+    if tree.arity != arity:
+        raise ModelFormatError(f"tree arity {tree.arity}, expected {arity}")
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        if node.default >= n_symbols:
+            raise ModelFormatError(f"tree default {node.default} is not a symbol")
+        if node.arcs is not None:
+            if max(node.arcs) >= n_symbols:
+                raise ModelFormatError(
+                    f"tree arc value {max(node.arcs)} is not a symbol")
+            stack.extend(node.arcs.values())
+    return tree, off

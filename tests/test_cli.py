@@ -5,7 +5,9 @@ import pytest
 from conftest import F1_PATH
 from memtag.cli import main
 from memtag.corpus import write_corpus
+from memtag.igtree import tree_to_bytes
 from memtag.synth import SynthConfig, synth_corpus
+from memtag.taggen import TaggerModel
 
 
 @pytest.fixture
@@ -84,6 +86,21 @@ def test_tag_model_version_mismatch(model_path, tmp_path):
     assert main(["tag", str(inp), "--model", str(bad)]) == 3
 
 
+def test_tag_tree_default_out_of_range(model_path, tmp_path):
+    # the unknown tree's root default, patched past the symbol table: an
+    # unseen word with no seen letter misses at the root and would answer it
+    model = TaggerModel.load(model_path)
+    data = bytearray(model.to_bytes())
+    tree = model.unknown_tree
+    root = data.index(tree_to_bytes(tree)) + 4 * (2 + tree.arity)
+    data[root:root + 4] = (0xFFFFFFFF).to_bytes(4, "little")
+    bad = tmp_path / "bad.model"
+    bad.write_bytes(bytes(data))
+    inp = tmp_path / "in.txt"
+    inp.write_text("zzz\n")
+    assert main(["tag", str(inp), "--model", str(bad)]) == 3
+
+
 def test_eval_table_and_artifacts(model_path, tmp_path, capsys):
     out_tsv = tmp_path / "report.tsv"
     gains_tsv = tmp_path / "gains.tsv"
@@ -119,21 +136,6 @@ def test_curve_requires_sizes(tmp_path):
     corpus_path = str(tmp_path / "synth.tagged")
     write_corpus(synth_corpus(SynthConfig(n_tokens=1000, seed=1)), corpus_path)
     assert main(["curve", corpus_path, "--sizes", ",", "--folds", "2"]) == 2
-
-
-def test_bench_command(tmp_path, capsys):
-    corpus_path = str(tmp_path / "synth.tagged")
-    write_corpus(synth_corpus(SynthConfig(n_tokens=4000, seed=2)), corpus_path)
-    assert main(["bench", corpus_path]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "algo\taccuracy\ttrain_s\twords_per_s\tmem_bytes"
-    assert len(lines) == 4
-
-
-def test_bench_unknown_algo(tmp_path):
-    corpus_path = str(tmp_path / "synth.tagged")
-    write_corpus(synth_corpus(SynthConfig(n_tokens=1000, seed=2)), corpus_path)
-    assert main(["bench", corpus_path, "--algos", "svm"]) == 2
 
 
 def test_usage_error_exit_code():

@@ -10,7 +10,6 @@ def test_parse_simple():
     c = parse_corpus("the/DT cat/NN ./.")
     assert len(c) == 1
     assert c.token_count == 3
-    assert c.tagset == {"DT", "NN", "."}
     assert c.sentences[0][0] == Token("the", "DT")
 
 
@@ -24,7 +23,6 @@ def test_parse_empty_input():
 def test_parse_f1(f1):
     assert len(f1) == 3
     assert f1.token_count == 18
-    assert f1.tagset == {"DT", "NN", "VBD", "VBZ", "."}
 
 
 def test_embedded_slash_splits_on_last():

@@ -235,7 +235,6 @@ def test_stats_bounds():
     assert st.nodes <= base.total_cases * (base.arity + 1)
     assert st.expanded_bytes == base.total_cases * (base.arity + 1) * 4
     assert sum(st.depth_histogram.values()) == st.nodes
-    assert "compression_ratio" in st.tsv()
 
 
 def test_tree_bytes_round_trip():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -61,14 +63,6 @@ def test_lexicon_keeps_most_frequent_even_below_threshold():
     lex = build_lexicon(corpus, interner, threshold=0.9)
     # both shares are 0.5 < 0.9; the majority survives, tie broken by text
     assert interner.text(lex.entries["w"].ambiguous_tag) == "A"
-
-
-def test_ambiguous_tagset_superset_of_base_tags(f1):
-    interner = Interner()
-    lex = build_lexicon(f1, interner)
-    tagset = lex.ambiguous_tagset()
-    for t in ("DT", "NN", "VBD", "VBZ", ".", "NN-VBD"):
-        assert interner.id_of(t) in tagset
 
 
 # -- case extraction -------------------------------------------------------
@@ -398,3 +392,28 @@ def test_synth_model_round_trip(synth_small):
     model = train(synth_small)
     blob = model.to_bytes()
     assert TaggerModel.from_bytes(blob).to_bytes() == blob
+
+
+def test_corrupt_models_fail_on_load_not_while_tagging(f1):
+    """A corrupt model either raises ModelFormatError on load or tags and
+    explains every position cleanly, an unseen word and a numeral included."""
+    blob = train(f1).to_bytes()
+    sentences = [[t.word for t in s] for s in f1.sentences]
+    sentences += [["the", "blorft", "61", "."], ["zzz"]]
+    rng = random.Random(1)
+    rejected = 0
+    for _ in range(1200):
+        data = bytearray(blob)
+        n = rng.randint(1, 4)
+        pos = rng.randrange(len(data) - n + 1)
+        data[pos:pos + n] = bytes(rng.randrange(256) for _ in range(n))
+        try:
+            model = TaggerModel.from_bytes(bytes(data))
+        except ModelFormatError:
+            rejected += 1
+            continue
+        for words in sentences:
+            assert len(model.tag(words)) == len(words)
+            for i in range(len(words)):
+                model.explain(words, i)
+    assert 0 < rejected < 1200
