@@ -1,5 +1,5 @@
 """Accuracy measurement, cross-validation, learning curves, and the
-comparison of the tree classifier with its brute-force references.
+comparison of the tree classifier with its nearest-neighbor references.
 
 Accuracy is split between known and unknown words by the tagger's own
 routing decision. The algorithm comparison scores IB1, IB1-IG and IGTree on
@@ -190,7 +190,7 @@ def curve_tsv(points: list[LearningCurvePoint]) -> str:
     return "\n".join(lines)
 
 
-# -- algorithm comparison (tree vs. brute-force references) ----------------
+# -- algorithm comparison (tree vs. nearest-neighbor references) -----------
 
 def known_eval_queries(test: Corpus, lexicon, interner: Interner,
                        config: TaggerConfig) -> list[tuple[Vector, int]]:
@@ -227,10 +227,13 @@ def compare_algorithms(train_c: Corpus, test_c: Corpus,
     weights = information_gains(base)
     tree = prune(build(base, weights))
     queries = known_eval_queries(test_c, lexicon, interner, config)
+    index = ib.OverlapIndex(base)
     return {
-        "ib1": _cached_accuracy(lambda q: ib.classify_ib1(base, q), queries),
+        "ib1": _cached_accuracy(
+            lambda q: ib.classify_ib1(base, q, index=index), queries),
         "ib1ig": _cached_accuracy(
-            lambda q: ib.classify_ib1ig(base, weights, q), queries),
+            lambda q: ib.classify_ib1ig(base, weights, q, index=index),
+            queries),
         "igtree": _cached_accuracy(tree.classify, queries),
     }
 

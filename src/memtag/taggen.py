@@ -267,7 +267,7 @@ def extract_unknown_cases(corpus: Corpus, lexicon: Lexicon, interner: Interner,
     known_tags = known_route_tags(lexicon, config)
     entries = lexicon.entries
     intern = interner.intern
-    is_open_class = config.is_open_class
+    open_class: dict[str, bool] = {}  # is_open_class per distinct tag
     for sent in filter(None, corpus.sentences):  # zip(*sent) needs a token
         words, tags = zip(*sent)
         gold = list(map(intern, tags))
@@ -276,7 +276,10 @@ def extract_unknown_cases(corpus: Corpus, lexicon: Lexicon, interner: Interner,
         for word, tag, f, a, g in zip(words, tags, focus, right, gold):
             if f is None and word not in entries:
                 raise StructureError(f"word {word!r} not in lexicon")
-            if is_open_class(tag):
+            is_open = open_class.get(tag)
+            if is_open is None:
+                is_open = open_class[tag] = config.is_open_class(tag)
+            if is_open:
                 first, s3, s2, s1 = _letter_slots(word, interner, strict=True)
                 base.add((first, d1, a, s3, s2, s1), g)
             d1 = g

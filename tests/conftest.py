@@ -1,9 +1,12 @@
 import os
+import random
 
 import pytest
 from hypothesis import HealthCheck, settings
 
+from memtag.casebase import CaseBase
 from memtag.corpus import read_corpus
+from memtag.interning import Interner
 from memtag.synth import SynthConfig, synth_corpus
 
 settings.register_profile(
@@ -27,6 +30,40 @@ PV_LEXICON = {
     "a": {"dt": 1}, "nonexecutive": {"jj": 1}, "director": {"nn": 1},
     "nov.": {"np": 1}, "29": {"cd": 1}, ".": {".": 1},
 }
+
+
+def random_case_base(seed):
+    """Random symbolic base with duplicates and label noise, and the rng that
+    drew it. Zero-gain features make the weighted distance-0 neighbor set
+    non-singleton, so a caller comparing the tree with IB1-IG filters on
+    all-positive gains."""
+    rng = random.Random(seed)
+    while True:
+        arity = rng.choice([4, 5, 6])
+        values = [rng.randint(2, 6 if arity == 4 else 4) for _ in range(arity)]
+        space = 1
+        for v in values:
+            space *= v
+        if space <= 1400:
+            break
+    n_classes = rng.randint(2, 5)
+    n_cases = rng.choice([60, 120, 300, 700, 1500, 3000, 5000])
+    interner = Interner()
+    classes = [interner.intern(f"C{i}") for i in range(n_classes)]
+    for f in range(arity):
+        for v in range(max(values)):
+            interner.intern(f"v{f}_{v}")
+    base = CaseBase(arity, interner)
+    coef = [rng.randint(1, 7) for _ in range(arity)]
+    for _ in range(n_cases):
+        vec = tuple(interner.id_of(f"v{f}_{rng.randrange(values[f])}")
+                    for f in range(arity))
+        if rng.random() < 0.8:
+            cls = classes[sum(c * v for c, v in zip(coef, vec)) % n_classes]
+        else:
+            cls = rng.choice(classes)
+        base.add(vec, cls)
+    return base, rng
 
 
 @pytest.fixture(scope="session")

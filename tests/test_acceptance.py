@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from conftest import PV_LEXICON, PV_SENTENCE
+from conftest import PV_LEXICON, PV_SENTENCE, random_case_base
 from memtag.casebase import CaseBase
 from memtag.corpus import parse_corpus
 from memtag.evaluation import compare_on_folds, evaluate, learning_curve
@@ -38,46 +38,13 @@ def model_100k(synth_100k):
 
 # -- 1. oracle equivalence -------------------------------------------------
 
-def _random_case_base(seed):
-    """Random symbolic base with duplicates and label noise. Zero-gain
-    features would make the weighted distance-0 neighbor set non-singleton,
-    so the caller filters on all-positive gains."""
-    rng = random.Random(seed)
-    while True:
-        arity = rng.choice([4, 5, 6])
-        values = [rng.randint(2, 6 if arity == 4 else 4) for _ in range(arity)]
-        space = 1
-        for v in values:
-            space *= v
-        if space <= 1400:
-            break
-    n_classes = rng.randint(2, 5)
-    n_cases = rng.choice([60, 120, 300, 700, 1500, 3000, 5000])
-    interner = Interner()
-    classes = [interner.intern(f"C{i}") for i in range(n_classes)]
-    for f in range(arity):
-        for v in range(max(values)):
-            interner.intern(f"v{f}_{v}")
-    base = CaseBase(arity, interner)
-    coef = [rng.randint(1, 7) for _ in range(arity)]
-    for _ in range(n_cases):
-        vec = tuple(interner.id_of(f"v{f}_{rng.randrange(values[f])}")
-                    for f in range(arity))
-        if rng.random() < 0.8:
-            cls = classes[sum(c * v for c, v in zip(coef, vec)) % n_classes]
-        else:
-            cls = rng.choice(classes)
-        base.add(vec, cls)
-    return base, rng
-
-
 def test_criterion_1_oracle_equivalence():
     def check():
         t0 = time.perf_counter()
         n_bases = 0
         seed = 0
         while n_bases < 20:
-            base, rng = _random_case_base(seed)
+            base, rng = random_case_base(seed)
             seed += 1
             weights = information_gains(base)
             if min(weights) <= 1e-9:
@@ -199,6 +166,8 @@ def test_criterion_5_speed(synth_100k, model_100k):
         rng = random.Random(0)
         rng.shuffle(queries)
 
+        # The >=50x gate times the trie against the brute-force scan, the
+        # definition, not against ib.OverlapIndex.
         brute = queries[:40]
         for q in brute[:5]:
             classify_ib1ig(base, weights, q)
@@ -230,7 +199,9 @@ def test_criterion_5_speed(synth_100k, model_100k):
 def test_criterion_6_accuracy_parity(synth_100k):
     def check():
         assert synth_100k.token_count >= 100_000
+        t0 = time.perf_counter()
         per_fold = compare_on_folds(synth_100k, k=10, seed=0, jobs=2)
+        elapsed = time.perf_counter() - t0
         assert len(per_fold) == 10
         for accs in per_fold:
             gap = abs(accs["igtree"] - accs["ib1ig"])
@@ -238,6 +209,9 @@ def test_criterion_6_accuracy_parity(synth_100k):
         mean_ig = sum(a["igtree"] for a in per_fold) / len(per_fold)
         mean_ib1 = sum(a["ib1"] for a in per_fold) / len(per_fold)
         assert mean_ig >= mean_ib1
+        # IB1 and IB1-IG go through ib.OverlapIndex; a fall back to the
+        # brute-force scan would take minutes.
+        assert elapsed < 60.0, f"took {elapsed:.1f}s"
 
     _report(6, "accuracy parity", check)
 

@@ -1,11 +1,15 @@
 import pytest
 
+from memtag import ib
 from memtag.corpus import Corpus, parse_corpus
 from memtag.errors import ParameterError
 from memtag.evaluation import (compare_algorithms, compare_on_folds,
                                cross_validate, curve_tsv, evaluate, gains_tsv,
-                               learning_curve)
-from memtag.taggen import train
+                               known_eval_queries, learning_curve)
+from memtag.interning import Interner
+from memtag.metrics import information_gains
+from memtag.taggen import (TaggerConfig, build_lexicon, extract_known_cases,
+                           train)
 
 
 def test_evaluate_f1_on_itself(f1):
@@ -126,6 +130,42 @@ def test_compare_algorithms_and_same_split(synth_small):
         assert 0.0 <= v <= 1.0
     again = compare_algorithms(train_c, test_c)
     assert accs == again
+
+
+def test_compare_algorithms_indexed_equals_brute_force(synth_small,
+                                                      monkeypatch):
+    """One indexed call per distinct query and algorithm, and the same
+    accuracies as the index-free brute-force scan."""
+    train_c = Corpus(synth_small.sentences[:300])
+    test_c = Corpus(synth_small.sentences[300:360])
+    calls = {"classify_ib1": [], "classify_ib1ig": []}
+    for name, log in calls.items():
+        def counted(*args, _real=getattr(ib, name), _log=log, **kwargs):
+            _log.append((args[-1], kwargs))
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(ib, name, counted)
+    accs = compare_algorithms(train_c, test_c)
+    monkeypatch.undo()
+
+    config = TaggerConfig()
+    interner = Interner()
+    lexicon = build_lexicon(train_c, interner, config.threshold)
+    base = extract_known_cases(train_c, lexicon, interner, config)
+    weights = information_gains(base)
+    queries = known_eval_queries(test_c, lexicon, interner, config)
+    distinct = {q for q, _ in queries}
+    assert any(q not in base.patterns for q in distinct)
+    for log in calls.values():
+        assert sorted(q for q, _ in log) == sorted(distinct)
+        assert all(isinstance(kw.get("index"), ib.OverlapIndex)
+                   for _, kw in log)
+
+    classify = {"ib1": lambda q: ib.classify_ib1(base, q),
+                "ib1ig": lambda q: ib.classify_ib1ig(base, weights, q)}
+    for algo, fn in classify.items():
+        preds = {q: fn(q) for q in distinct}
+        correct = sum(preds[q] == gold for q, gold in queries)
+        assert accs[algo] == correct / len(queries)
 
 
 def test_compare_on_folds(synth_small):

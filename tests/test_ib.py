@@ -3,9 +3,10 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import random_case_base
 from memtag.casebase import CaseBase, majority_class
 from memtag.errors import StructureError
-from memtag.ib import classify_ib1, classify_ib1ig, nearest_set
+from memtag.ib import OverlapIndex, classify_ib1, classify_ib1ig, nearest_set
 from memtag.interning import Interner
 from memtag.metrics import distance_overlap, information_gains
 from memtag.taggen import build_lexicon, extract_known_cases
@@ -72,13 +73,18 @@ def test_low_gain_mismatch_wins():
 def test_empty_base_and_arity_errors():
     interner = Interner()
     base = CaseBase(2, interner)
-    with pytest.raises(StructureError):
-        classify_ib1(base, (0, 0))
+    index = OverlapIndex(base)
+    for idx in (None, index):
+        with pytest.raises(StructureError):
+            classify_ib1(base, (0, 0), index=idx)
     base.add((0, 0), 0)
+    for idx in (None, index):
+        with pytest.raises(StructureError):
+            classify_ib1(base, (0, 0, 0), index=idx)
+        with pytest.raises(StructureError):
+            classify_ib1ig(base, (1.0,), (0, 0), index=idx)
     with pytest.raises(StructureError):
-        classify_ib1(base, (0, 0, 0))
-    with pytest.raises(StructureError):
-        classify_ib1ig(base, (1.0,), (0, 0))
+        classify_ib1(base, (0, 0), index=OverlapIndex(CaseBase(2, interner)))
 
 
 def test_nearest_set_invariants():
@@ -133,3 +139,103 @@ def test_equal_weights_match_ib1_and_scaling_invariance(rows, scale, pow2):
         if min(weights) > 0:
             assert (classify_ib1ig(base, scaled, q)
                     == classify_ib1ig(base, weights, q))
+
+
+# -- the index against the scan ----------------------------------------
+
+def assert_index_matches_scan(base, index, query, weights):
+    """Same nearest set (members and bit-equal distance) and same classes
+    through the index as through the brute-force scan."""
+    want = nearest_set(base, query, weights)
+    got = index.nearest_set(query, weights)
+    vecs = [vec for vec, _ in got.members]
+    assert got.distance == want.distance
+    assert len(vecs) == len(set(vecs))
+    assert set(vecs) == {vec for vec, _ in want.members}
+    assert all(dist is base.patterns[vec] for vec, dist in got.members)
+    if weights is None:
+        assert (classify_ib1(base, query, index=index)
+                == classify_ib1(base, query))
+    else:
+        assert (classify_ib1ig(base, weights, query, index=index)
+                == classify_ib1ig(base, weights, query))
+
+
+def weight_variants(base):
+    """Gain weights, unit weights (IB1), gains with one weight set to 0.0,
+    power-of-two-scaled gains (every distance, and so every coincidental
+    tie, stays exact), and a negative weight (answered by the scan)."""
+    gains = information_gains(base)
+    zeroed = list(gains)
+    zeroed[len(gains) // 2] = 0.0
+    negative = list(gains)
+    negative[0] = -0.5
+    return [gains, None, tuple(zeroed), tuple(w * 4.0 for w in gains),
+            tuple(w * 0.5 for w in gains), tuple(negative)]
+
+
+def test_index_matches_scan_on_random_bases():
+    """The criterion-1 randomized bases: stored patterns, their one- and
+    two-feature mutations, and random queries with unseen symbols."""
+    for seed in range(12):
+        base, rng = random_case_base(seed)
+        index = OverlapIndex(base)  # one index serves every weighting
+        patterns = list(base.patterns)
+        n_symbols = len(base.interner)
+        queries = rng.sample(patterns, min(30, len(patterns)))
+        for vec in rng.sample(patterns, min(30, len(patterns))):
+            q = list(vec)
+            for i in rng.sample(range(base.arity), rng.choice([1, 2])):
+                q[i] = rng.randrange(n_symbols + 2)
+            queries.append(tuple(q))
+        queries += [tuple(rng.randrange(n_symbols + 2)
+                          for _ in range(base.arity)) for _ in range(30)]
+        for weights in weight_variants(base):
+            for q in queries:
+                assert_index_matches_scan(base, index, q, weights)
+
+
+@given(rows_strategy)
+@settings(max_examples=30)
+def test_index_matches_scan_exhaustive(rows):
+    """The whole query space of the base's symbols plus one unseen symbol
+    per position, as in the scaling test above."""
+    base = make_base(rows, 3)
+    index = OverlapIndex(base)
+    unseen = len(base.interner) + 7
+    per_position = [sorted({vec[i] for vec in base.patterns}) + [unseen]
+                    for i in range(3)]
+    for weights in weight_variants(base):
+        for q in itertools.product(*per_position):
+            assert_index_matches_scan(base, index, q, weights)
+
+
+def test_index_sees_patterns_added_after_a_query():
+    base = make_base([(("a", "b"), "X")], 2)
+    index = OverlapIndex(base)
+    q = ids(base, "c", "d")
+    assert base.interner.text(classify_ib1(base, q, index=index)) == "X"
+    base.add(q, base.interner.intern("Y"))
+    assert base.interner.text(classify_ib1(base, q, index=index)) == "Y"
+    assert_index_matches_scan(base, index, ids(base, "a", "d"), None)
+
+
+def test_index_distances_are_the_scans_floats():
+    # 0.1 + 0.2 + 0.3 is 0.6000000000000001 summed in feature order and 0.6
+    # the other way round; 0.1 + 0.2 > 0.3. The index must sum as the scan.
+    weights = (0.1, 0.2, 0.3, 1.0)
+    base = make_base([(("x", "y", "z", "d"), "P"),
+                      (("a", "b", "c", "w"), "Q")], 4)
+    index = OverlapIndex(base)
+    q = ids(base, "a", "b", "c", "d")
+    assert index.nearest_set(q, weights).distance == 0.1 + 0.2 + 0.3
+    assert_index_matches_scan(base, index, q, weights)
+    base = make_base([(("x", "y", "c", "d"), "P"),
+                      (("a", "b", "z", "d"), "Q")], 4)
+    index = OverlapIndex(base)
+    q = ids(base, "a", "b", "c", "d")
+    ns = index.nearest_set(q, weights)
+    assert (ns.distance, len(ns.members)) == (0.3, 1)
+    assert base.interner.text(
+        classify_ib1ig(base, weights, q, index=index)) == "Q"
+    assert_index_matches_scan(base, index, q, weights)
