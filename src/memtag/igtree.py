@@ -11,15 +11,12 @@ matter how many cases were stored.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 from .casebase import CaseBase, ClassDistribution, Vector, majority_class
-from .errors import ModelFormatError, StructureError
+from .errors import StructureError
 from .interning import Interner
 from .metrics import FeatureWeights
-
-_U32 = struct.Struct("<I")
 
 
 class IGTreeNode:
@@ -160,9 +157,11 @@ class TreeStats:
 
 
 def stats(tree: IGTree) -> TreeStats:
-    """Size report; the expanded baseline is the flat store of all trained
-    cases at one u32 per feature-or-target slot, matching the tree's own
-    u32-per-symbol serialization."""
+    """Size report. `serialized_bytes` is the tree's section in the model
+    file: arity, case count and feature order, then per node its default and
+    arc count, and per arc its value, one u32 each. The expanded baseline is
+    the flat store of all trained cases at one u32 per feature-or-target
+    slot."""
     nodes = leaves = arcs = 0
     histogram: dict[int, int] = {}
     stack = [(tree.root, 0)]
@@ -178,63 +177,7 @@ def stats(tree: IGTree) -> TreeStats:
             arcs += len(node.arcs)
             for child in node.arcs.values():
                 stack.append((child, depth + 1))
+    serialized = 4 * (2 + tree.arity) + 8 * nodes + 4 * arcs
     expanded = tree.case_count * (tree.arity + 1) * 4
-    return TreeStats(nodes, leaves, arcs, max_depth, histogram,
-                     len(tree_to_bytes(tree)), expanded)
-
-
-def tree_to_bytes(tree: IGTree) -> bytes:
-    """Versionless binary section: header, then nodes preorder, all u32 LE."""
-    out = bytearray()
-    pack = _U32.pack
-    out += pack(tree.arity)
-    out += pack(tree.case_count)
-    for i in tree.feature_order:
-        out += pack(i)
-    _write_node(tree.root, out, pack)
-    return bytes(out)
-
-
-def _write_node(node: IGTreeNode, out: bytearray, pack) -> None:
-    out += pack(node.default)
-    if node.arcs is None:
-        out += pack(0)
-        return
-    out += pack(len(node.arcs))
-    for value, child in node.arcs.items():
-        out += pack(value)
-        _write_node(child, out, pack)
-
-
-def tree_from_bytes(buf: bytes, offset: int = 0) -> tuple[IGTree, int]:
-    """Inverse of tree_to_bytes; returns the tree and the next offset."""
-    try:
-        arity, offset = _read_u32(buf, offset)
-        case_count, offset = _read_u32(buf, offset)
-        order = []
-        for _ in range(arity):
-            i, offset = _read_u32(buf, offset)
-            order.append(i)
-        if sorted(order) != list(range(arity)):
-            raise ModelFormatError("feature order is not a permutation")
-        root, offset = _read_node(buf, offset)
-    except struct.error as exc:
-        raise ModelFormatError(f"truncated tree section: {exc}") from exc
-    return IGTree(root, tuple(order), arity, case_count), offset
-
-
-def _read_u32(buf: bytes, offset: int) -> tuple[int, int]:
-    return _U32.unpack_from(buf, offset)[0], offset + 4
-
-
-def _read_node(buf: bytes, offset: int) -> tuple[IGTreeNode, int]:
-    default, offset = _read_u32(buf, offset)
-    n_arcs, offset = _read_u32(buf, offset)
-    if n_arcs == 0:
-        return IGTreeNode(default, None), offset
-    arcs: dict[int, IGTreeNode] = {}
-    for _ in range(n_arcs):
-        value, offset = _read_u32(buf, offset)
-        child, offset = _read_node(buf, offset)
-        arcs[value] = child
-    return IGTreeNode(default, arcs), offset
+    return TreeStats(nodes, leaves, arcs, max_depth, histogram, serialized,
+                     expanded)

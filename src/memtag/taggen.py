@@ -29,13 +29,14 @@ from __future__ import annotations
 
 import re
 import struct
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from .casebase import CaseBase, Vector, majority_class
 from .corpus import Corpus
 from .errors import ModelFormatError, ParameterError, StructureError
-from .igtree import IGTree, build, prune, stats, tree_from_bytes, tree_to_bytes
+from .igtree import IGTree, IGTreeNode, build, prune, stats
 from .interning import NO_SYMBOL, Interner
 from .metrics import FeatureWeights, information_gains
 
@@ -445,19 +446,8 @@ class TaggerModel:
     # -- serialization ---------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        """Single binary image: magic, version, then the interner, lexicon,
-        weights, tree, and config sections, all integers little-endian."""
-        out = bytearray()
-        out += MAGIC
-        out += struct.pack("<H", FORMAT_VERSION)
-        _w_interner(out, self.interner)
-        _w_lexicon(out, self.lexicon, self.interner)
-        _w_weights(out, self.known_weights)
-        _w_weights(out, self.unknown_weights)
-        _w_tree(out, self.known_tree)
-        _w_tree(out, self.unknown_tree)
-        _w_config(out, self.config, self.fallback_tag)
-        return bytes(out)
+        """The model file image; its layout is described at `_write_model`."""
+        return _write_model(self)
 
     def save(self, path: str) -> None:
         data = self.to_bytes()
@@ -466,29 +456,7 @@ class TaggerModel:
 
     @classmethod
     def from_bytes(cls, buf: bytes) -> "TaggerModel":
-        if buf[:4] != MAGIC:
-            raise ModelFormatError("bad magic bytes: not a tagger model file")
-        (version,) = struct.unpack_from("<H", buf, 4)
-        if version != FORMAT_VERSION:
-            raise ModelFormatError(
-                f"unsupported model version {version} (expected {FORMAT_VERSION})")
-        try:
-            off = 6
-            interner, off = _r_interner(buf, off)
-            lexicon, off = _r_lexicon(buf, off, interner)
-            known_w, off = _r_weights(buf, off, KNOWN_ARITY)
-            unknown_w, off = _r_weights(buf, off, UNKNOWN_ARITY)
-            known_tree, off = _r_tree(buf, off, KNOWN_ARITY, len(interner))
-            unknown_tree, off = _r_tree(buf, off, UNKNOWN_ARITY, len(interner))
-            config, fallback, off = _r_config(buf, off)
-        except (struct.error, IndexError, UnicodeDecodeError) as exc:
-            raise ModelFormatError(f"corrupt model file: {exc}") from exc
-        if off != len(buf):
-            raise ModelFormatError(f"{len(buf) - off} trailing bytes")
-        if fallback >= len(interner):
-            raise ModelFormatError(f"fallback tag {fallback} is not a symbol")
-        return cls(interner, lexicon, config, known_w, unknown_w,
-                   known_tree, unknown_tree, fallback)
+        return _read_model(buf)
 
     @classmethod
     def load(cls, path: str) -> "TaggerModel":
@@ -511,178 +479,219 @@ def train(corpus: Corpus, config: TaggerConfig = TaggerConfig()) -> TaggerModel:
     known_tree = prune(build(known, known_weights)) if known else None
     unknown_tree = prune(build(unknown, unknown_weights)) if unknown else None
 
-    gold_counts: dict[int, int] = {}
-    for sent in corpus.sentences:
-        for tok in sent:
-            tid = interner.intern(tok.tag)
-            gold_counts[tid] = gold_counts.get(tid, 0) + 1
-    fallback = majority_class(gold_counts, interner)
+    # The lexicon has counted every token's tag once already.
+    tag_totals: Counter[int] = Counter()
+    for entry in lexicon.entries.values():
+        tag_totals.update(entry.tag_counts)
+    fallback = majority_class(tag_totals, interner)
 
     return TaggerModel(interner, lexicon, config, known_weights,
                        unknown_weights, known_tree, unknown_tree, fallback)
 
 
-# -- binary section helpers (all integers little-endian) ------------------
+# -- model file -------------------------------------------------------------
+# `_write_model` and `_read_model` are the only code that knows the layout.
 
 _U32 = struct.Struct("<I")
 
 
-def _w_u32(out: bytearray, value: int) -> None:
-    out += _U32.pack(value)
+def _u32s(values: list[int]) -> bytes:
+    return struct.pack(f"<{len(values)}I", *values)
 
 
-def _r_u32(buf: bytes, off: int) -> tuple[int, int]:
-    return _U32.unpack_from(buf, off)[0], off + 4
+def _write_strings(out: bytearray, texts: Sequence[str]) -> None:
+    out += _U32.pack(len(texts))
+    for text in texts:
+        data = text.encode("utf-8")
+        out += _U32.pack(len(data))
+        out += data
 
 
-def _w_str(out: bytearray, text: str) -> None:
-    data = text.encode("utf-8")
-    _w_u32(out, len(data))
-    out += data
+def _node_u32s(node: IGTreeNode, ints: list[int]) -> None:
+    """Preorder: default, arc count, then per arc its value and subtree."""
+    if node.arcs is None:
+        ints += (node.default, 0)
+        return
+    ints += (node.default, len(node.arcs))
+    for value, child in node.arcs.items():
+        ints.append(value)
+        _node_u32s(child, ints)
 
 
-def _r_str(buf: bytes, off: int) -> tuple[str, int]:
-    n, off = _r_u32(buf, off)
-    end = off + n
-    if end > len(buf):
-        raise ModelFormatError("truncated string")
-    return buf[off:end].decode("utf-8"), end
+def _write_model(model: TaggerModel) -> bytes:
+    """The model file, version 1. Integers are little-endian u32 unless
+    marked; a string is its UTF-8 byte length, then the bytes.
 
-
-def _w_interner(out: bytearray, interner: Interner) -> None:
-    _w_u32(out, len(interner))
-    for text in interner:
-        _w_str(out, text)
-
-
-def _r_interner(buf: bytes, off: int) -> tuple[Interner, int]:
-    n, off = _r_u32(buf, off)
-    texts = []
-    for _ in range(n):
-        t, off = _r_str(buf, off)
-        texts.append(t)
-    interner = Interner()
-    for t in texts:
-        interner.intern(t)
-    if len(interner) != n:
-        raise ModelFormatError("interner table is not bijective")
-    return interner, off
-
-
-def _w_config(out: bytearray, config: TaggerConfig, fallback_tag: int) -> None:
+        header     b"MBT1", u16 version
+        interner   count, then every symbol text in id order
+        lexicon    count, then per word: word id, lexicon tag, surviving
+                   tag count and ids, tag count and (tag, count) pairs
+        weights    known then unknown: count, then that many f64 gains
+        trees      known then unknown: u8 present (0 or 1); if present,
+                   arity, case count, feature order, then the nodes in
+                   preorder (`_node_u32s`)
+        config     f64 threshold, u8 route numbers to unknown, fallback
+                   tag, u8 has closed classes (0 or 1); if 1, the sorted
+                   closed-class tags as a count and strings
+    """
+    interner, config = model.interner, model.config
+    out = bytearray(MAGIC)
+    out += struct.pack("<H", FORMAT_VERSION)
+    _write_strings(out, list(interner))
+    id_of = interner.id_of
+    ints = [len(model.lexicon.entries)]
+    for word, entry in model.lexicon.entries.items():
+        ints += (id_of(word), entry.ambiguous_tag, len(entry.surviving_tags))
+        ints += entry.surviving_tags
+        ints.append(len(entry.tag_counts))
+        for pair in entry.tag_counts.items():
+            ints += pair
+    out += _u32s(ints)
+    for weights in (model.known_weights, model.unknown_weights):
+        out += _U32.pack(len(weights))
+        out += struct.pack(f"<{len(weights)}d", *weights)
+    for tree in (model.known_tree, model.unknown_tree):
+        if tree is None:
+            out.append(0)
+            continue
+        out.append(1)
+        ints = [tree.arity, tree.case_count, *tree.feature_order]
+        _node_u32s(tree.root, ints)
+        out += _u32s(ints)
     out += struct.pack("<d", config.threshold)
     out.append(1 if config.route_numbers_to_unknown else 0)
-    _w_u32(out, fallback_tag)
+    out += _U32.pack(model.fallback_tag)
     if config.closed_class_tags is None:
         out.append(0)
     else:
         out.append(1)
-        tags = sorted(config.closed_class_tags)
-        _w_u32(out, len(tags))
-        for t in tags:
-            _w_str(out, t)
+        _write_strings(out, sorted(config.closed_class_tags))
+    return bytes(out)
 
 
-def _r_config(buf: bytes, off: int) -> tuple[TaggerConfig, int, int]:
-    (threshold,) = struct.unpack_from("<d", buf, off)
+def _read_flag(buf: bytes, off: int) -> tuple[bool, int]:
+    flag = buf[off]
+    if flag > 1:
+        raise ModelFormatError(f"flag byte {flag} is neither 0 nor 1")
+    return flag == 1, off + 1
+
+
+def _read_strings(buf: bytes, off: int) -> tuple[list[str], int]:
+    (n,) = _U32.unpack_from(buf, off)
+    off += 4
+    texts = []
+    for _ in range(n):
+        (size,) = _U32.unpack_from(buf, off)
+        start = off + 4
+        off = start + size
+        if off > len(buf):
+            raise ModelFormatError("truncated string")
+        texts.append(buf[start:off].decode("utf-8"))
+    return texts, off
+
+
+def _read_node(buf: bytes, off: int, depth_left: int, n_symbols: int
+               ) -> tuple[IGTreeNode, int]:
+    """One node and its subtree, checked so that tagging cannot fail on it:
+    every default and arc value is a symbol, and no arc hangs below the last
+    feature (which also bounds the recursion)."""
+    default, n_arcs = struct.unpack_from("<2I", buf, off)
     off += 8
-    route_numbers = buf[off] == 1
-    off += 1
-    fallback_tag, off = _r_u32(buf, off)
-    has_closed = buf[off] == 1
-    off += 1
-    closed = None
-    if has_closed:
-        n, off = _r_u32(buf, off)
-        tags = []
-        for _ in range(n):
-            t, off = _r_str(buf, off)
-            tags.append(t)
-        closed = frozenset(tags)
-    return TaggerConfig(threshold, closed, route_numbers), fallback_tag, off
+    if default >= n_symbols:
+        raise ModelFormatError(f"tree default {default} is not a symbol")
+    if n_arcs == 0:
+        return IGTreeNode(default, None), off
+    if depth_left == 0:
+        raise ModelFormatError("tree arcs below the last feature")
+    arcs: dict[int, IGTreeNode] = {}
+    for _ in range(n_arcs):
+        (value,) = _U32.unpack_from(buf, off)
+        if value >= n_symbols:
+            raise ModelFormatError(f"tree arc value {value} is not a symbol")
+        arcs[value], off = _read_node(buf, off + 4, depth_left - 1, n_symbols)
+    if len(arcs) != n_arcs:
+        raise ModelFormatError("repeated tree arc value")
+    return IGTreeNode(default, arcs), off
 
 
-def _w_lexicon(out: bytearray, lexicon: Lexicon, interner: Interner) -> None:
-    _w_u32(out, len(lexicon.entries))
-    for word, entry in lexicon.entries.items():
-        _w_u32(out, interner.id_of(word))
-        _w_u32(out, entry.ambiguous_tag)
-        _w_u32(out, len(entry.surviving_tags))
-        for tag in entry.surviving_tags:
-            _w_u32(out, tag)
-        _w_u32(out, len(entry.tag_counts))
-        for tag, count in entry.tag_counts.items():
-            _w_u32(out, tag)
-            _w_u32(out, count)
-
-
-def _r_lexicon(buf: bytes, off: int, interner: Interner) -> tuple[Lexicon, int]:
-    n_entries, off = _r_u32(buf, off)
-    n_symbols = len(interner)
-    lexicon = Lexicon()
-    for _ in range(n_entries):
-        word_id, off = _r_u32(buf, off)
-        amb, off = _r_u32(buf, off)
-        if amb >= n_symbols:
-            raise ModelFormatError(f"lexicon tag {amb} is not a symbol")
-        n_surv, off = _r_u32(buf, off)
-        surviving = []
-        for _ in range(n_surv):
-            tag, off = _r_u32(buf, off)
-            surviving.append(tag)
-        n_tags, off = _r_u32(buf, off)
-        counts: dict[int, int] = {}
-        for _ in range(n_tags):
-            tag, off = _r_u32(buf, off)
-            count, off = _r_u32(buf, off)
-            counts[tag] = count
-        word = interner.text(word_id)
-        lexicon.entries[word] = LexicalEntry(word, counts, tuple(surviving), amb)
-        lexicon.total_tokens += sum(counts.values())
-    return lexicon, off
-
-
-def _w_weights(out: bytearray, weights: FeatureWeights) -> None:
-    _w_u32(out, len(weights))
-    out += struct.pack(f"<{len(weights)}d", *weights)
-
-
-def _r_weights(buf: bytes, off: int, arity: int
-               ) -> tuple[FeatureWeights, int]:
-    n, off = _r_u32(buf, off)
-    if n != arity:
-        raise ModelFormatError(f"{n} weights for arity {arity}")
-    weights = struct.unpack_from(f"<{n}d", buf, off)
-    return tuple(weights), off + 8 * n
-
-
-def _w_tree(out: bytearray, tree: IGTree | None) -> None:
-    if tree is None:
-        out.append(0)
-        return
-    out.append(1)
-    out += tree_to_bytes(tree)
-
-
-def _r_tree(buf: bytes, off: int, arity: int, n_symbols: int
-            ) -> tuple[IGTree | None, int]:
-    """A tree section, checked so that tagging cannot fail on it: the arity
-    is its case base's, and every default and arc value is a symbol."""
-    present = buf[off]
-    off += 1
-    if present == 0:
+def _read_tree(buf: bytes, off: int, arity: int, n_symbols: int
+               ) -> tuple[IGTree | None, int]:
+    present, off = _read_flag(buf, off)
+    if not present:
         return None, off
-    tree, off = tree_from_bytes(buf, off)
-    if tree.arity != arity:
-        raise ModelFormatError(f"tree arity {tree.arity}, expected {arity}")
-    stack = [tree.root]
-    while stack:
-        node = stack.pop()
-        if node.default >= n_symbols:
-            raise ModelFormatError(f"tree default {node.default} is not a symbol")
-        if node.arcs is not None:
-            if max(node.arcs) >= n_symbols:
-                raise ModelFormatError(
-                    f"tree arc value {max(node.arcs)} is not a symbol")
-            stack.extend(node.arcs.values())
-    return tree, off
+    tree_arity, case_count = struct.unpack_from("<2I", buf, off)
+    off += 8
+    if tree_arity != arity:
+        raise ModelFormatError(f"tree arity {tree_arity}, expected {arity}")
+    order = struct.unpack_from(f"<{arity}I", buf, off)
+    off += 4 * arity
+    if sorted(order) != list(range(arity)):
+        raise ModelFormatError("feature order is not a permutation")
+    root, off = _read_node(buf, off, arity, n_symbols)
+    return IGTree(root, order, arity, case_count), off
+
+
+def _read_model(buf: bytes) -> TaggerModel:
+    """Inverse of `_write_model`. Any buffer that is not a model file raises
+    ModelFormatError; so does any symbol id that tagging reads and the
+    interner lacks."""
+    if buf[:4] != MAGIC:
+        raise ModelFormatError("bad magic bytes: not a tagger model file")
+    try:
+        (version,) = struct.unpack_from("<H", buf, 4)
+        if version != FORMAT_VERSION:
+            raise ModelFormatError(f"unsupported model version {version} "
+                                   f"(expected {FORMAT_VERSION})")
+        texts, off = _read_strings(buf, 6)
+        interner = Interner(texts)
+        if list(interner) != texts:
+            raise ModelFormatError(
+                "interner table repeats a text or is out of id order")
+        n_symbols = len(texts)
+
+        (n_entries,) = _U32.unpack_from(buf, off)
+        off += 4
+        lexicon = Lexicon()
+        for _ in range(n_entries):
+            word_id, amb, n_surv = struct.unpack_from("<3I", buf, off)
+            off += 12
+            if amb >= n_symbols:
+                raise ModelFormatError(f"lexicon tag {amb} is not a symbol")
+            surviving = struct.unpack_from(f"<{n_surv}I", buf, off)
+            off += 4 * n_surv
+            (n_tags,) = _U32.unpack_from(buf, off)
+            off += 4
+            pairs = struct.unpack_from(f"<{2 * n_tags}I", buf, off)
+            off += 8 * n_tags
+            counts = dict(zip(pairs[::2], pairs[1::2]))
+            word = texts[word_id]
+            lexicon.entries[word] = LexicalEntry(word, counts, surviving, amb)
+            lexicon.total_tokens += sum(counts.values())
+
+        weights = []
+        for arity in (KNOWN_ARITY, UNKNOWN_ARITY):
+            (n,) = _U32.unpack_from(buf, off)
+            if n != arity:
+                raise ModelFormatError(f"{n} weights for arity {arity}")
+            weights.append(struct.unpack_from(f"<{n}d", buf, off + 4))
+            off += 4 + 8 * n
+        known_tree, off = _read_tree(buf, off, KNOWN_ARITY, n_symbols)
+        unknown_tree, off = _read_tree(buf, off, UNKNOWN_ARITY, n_symbols)
+
+        (threshold,) = struct.unpack_from("<d", buf, off)
+        route_numbers, off = _read_flag(buf, off + 8)
+        (fallback,) = _U32.unpack_from(buf, off)
+        has_closed, off = _read_flag(buf, off + 4)
+        closed = None
+        if has_closed:
+            tags, off = _read_strings(buf, off)
+            closed = frozenset(tags)
+    except (struct.error, IndexError, UnicodeDecodeError) as exc:
+        raise ModelFormatError(f"corrupt model file: {exc}") from exc
+    if off != len(buf):
+        raise ModelFormatError(f"{len(buf) - off} trailing bytes")
+    if fallback >= n_symbols:
+        raise ModelFormatError(f"fallback tag {fallback} is not a symbol")
+    config = TaggerConfig(threshold, closed, route_numbers)
+    return TaggerModel(interner, lexicon, config, weights[0], weights[1],
+                       known_tree, unknown_tree, fallback)

@@ -1,13 +1,16 @@
 import os
 import random
+import struct
 
 import pytest
 from hypothesis import HealthCheck, settings
 
 from memtag.casebase import CaseBase
 from memtag.corpus import read_corpus
+from memtag.igtree import stats
 from memtag.interning import Interner
 from memtag.synth import SynthConfig, synth_corpus
+from memtag.taggen import train
 
 settings.register_profile(
     "suite", deadline=None,
@@ -30,6 +33,32 @@ PV_LEXICON = {
     "a": {"dt": 1}, "nonexecutive": {"jj": 1}, "director": {"nn": 1},
     "nov.": {"np": 1}, "29": {"cd": 1}, ".": {".": 1},
 }
+
+
+def tree_header(tree):
+    """The first bytes of a tree's section in the model file, after its
+    presence byte: arity, case count, feature order."""
+    return struct.pack(f"<{2 + tree.arity}I", tree.arity, tree.case_count,
+                       *tree.feature_order)
+
+
+LEAF = struct.pack("<2I", 0, 0)  # a tree node: default symbol 0, no arcs
+
+
+def f1_model_with_known_nodes(nodes):
+    """The f1 model file with its known tree's nodes replaced by `nodes`."""
+    model = train(read_corpus(F1_PATH))
+    data = model.to_bytes()
+    header = tree_header(model.known_tree)
+    start = data.index(header)
+    end = start + stats(model.known_tree).serialized_bytes
+    return data[:start] + header + nodes + data[end:]
+
+
+def chained_known_tree_model(depth):
+    """The f1 model with its known tree replaced by a chain of `depth`
+    one-arc nodes (default and arc value both symbol 0) ending in a leaf."""
+    return f1_model_with_known_nodes(struct.pack("<3I", 0, 1, 0) * depth + LEAF)
 
 
 def random_case_base(seed):

@@ -2,10 +2,9 @@ import os
 
 import pytest
 
-from conftest import F1_PATH
+from conftest import F1_PATH, chained_known_tree_model, tree_header
 from memtag.cli import main
 from memtag.corpus import write_corpus
-from memtag.igtree import tree_to_bytes
 from memtag.synth import SynthConfig, synth_corpus
 from memtag.taggen import TaggerModel
 
@@ -92,12 +91,26 @@ def test_tag_tree_default_out_of_range(model_path, tmp_path):
     model = TaggerModel.load(model_path)
     data = bytearray(model.to_bytes())
     tree = model.unknown_tree
-    root = data.index(tree_to_bytes(tree)) + 4 * (2 + tree.arity)
+    header = tree_header(tree)
+    root = data.index(header) + len(header)
+    assert data[root:root + 4] == tree.root.default.to_bytes(4, "little")
     data[root:root + 4] = (0xFFFFFFFF).to_bytes(4, "little")
     bad = tmp_path / "bad.model"
     bad.write_bytes(bytes(data))
     inp = tmp_path / "in.txt"
     inp.write_text("zzz\n")
+    assert main(["tag", str(inp), "--model", str(bad)]) == 3
+
+
+@pytest.mark.parametrize("data", [
+    b"MBT1\x01",  # a magic number, then half a version
+    chained_known_tree_model(3000),  # arcs far below the last feature
+], ids=["short_header", "deep_tree"])
+def test_tag_malformed_model_exits_3(data, tmp_path):
+    bad = tmp_path / "bad.model"
+    bad.write_bytes(data)
+    inp = tmp_path / "in.txt"
+    inp.write_text("the cat .\n")
     assert main(["tag", str(inp), "--model", str(bad)]) == 3
 
 

@@ -5,11 +5,11 @@ import pytest
 from memtag.casebase import CaseBase, majority_class
 from memtag.errors import StructureError
 from memtag.ib import classify_ib1ig
-from memtag.igtree import (build, feature_order, prune, stats,
-                           tree_from_bytes, tree_to_bytes)
+from memtag.igtree import build, feature_order, prune, stats
 from memtag.interning import Interner
 from memtag.metrics import information_gains
-from memtag.taggen import build_lexicon, extract_known_cases
+from memtag.taggen import (Lexicon, TaggerConfig, TaggerModel, build_lexicon,
+                           extract_known_cases)
 
 
 def make_base(rows, arity):
@@ -21,9 +21,9 @@ def make_base(rows, arity):
 
 
 def random_base(seed, arity=4, n_values=4, n_classes=3, n_cases=300,
-                noise=0.2):
+                noise=0.2, interner=None):
     rng = random.Random(seed)
-    interner = Interner()
+    interner = Interner() if interner is None else interner
     classes = [interner.intern(f"C{i}") for i in range(n_classes)]
     values = [[interner.intern(f"v{f}_{v}") for v in range(n_values)]
               for f in range(arity)]
@@ -75,6 +75,15 @@ def same_structure(node, oracle):
         return False
     return all(same_structure(node.arcs[v], oracle["arcs"][v])
                for v in node.arcs)
+
+
+def fingerprint(tree):
+    """Everything the model file stores of a tree, arc order included."""
+    def node(n):
+        arcs = (None if n.arcs is None
+                else tuple((v, node(child)) for v, child in n.arcs.items()))
+        return n.default, arcs
+    return tree.arity, tree.case_count, tree.feature_order, node(tree.root)
 
 
 def test_build_matches_oracle_on_f1(f1):
@@ -135,7 +144,7 @@ def test_prune_idempotent():
     base = random_base(3)
     once = prune(build(base, information_gains(base)))
     twice = prune(once)
-    assert tree_to_bytes(once) == tree_to_bytes(twice)
+    assert fingerprint(once) == fingerprint(twice)
 
 
 def test_prune_never_changes_classification():
@@ -218,7 +227,7 @@ def test_build_deterministic():
     b = random_base(5)
     wa, wb = information_gains(a), information_gains(b)
     assert wa == wb
-    assert tree_to_bytes(prune(build(a, wa))) == tree_to_bytes(prune(build(b, wb)))
+    assert fingerprint(prune(build(a, wa))) == fingerprint(prune(build(b, wb)))
 
 
 def test_feature_order_ties_by_index():
@@ -238,14 +247,23 @@ def test_stats_bounds():
 
 
 def test_tree_bytes_round_trip():
-    base = random_base(6)
-    tree = prune(build(base, information_gains(base)))
-    data = tree_to_bytes(tree)
-    loaded, offset = tree_from_bytes(data)
-    assert offset == len(data)
-    assert tree_to_bytes(loaded) == data
-    assert loaded.feature_order == tree.feature_order
+    """Both trees survive the model file: same nodes, same feature order,
+    same answers."""
+    interner = Interner()
+    trees = []
+    for arity, seed in ((4, 6), (6, 8)):
+        base = random_base(seed, arity=arity, interner=interner)
+        trees.append(prune(build(base, information_gains(base))))
+    model = TaggerModel(interner, Lexicon(), TaggerConfig(), (0.0,) * 4,
+                        (0.0,) * 6, trees[0], trees[1], 0)
+    data = model.to_bytes()
+    loaded = TaggerModel.from_bytes(data)
+    assert loaded.to_bytes() == data
     rng = random.Random(2)
-    for _ in range(300):
-        q = tuple(rng.randrange(30) for _ in range(4))
-        assert loaded.classify(q) == tree.classify(q)
+    for tree, got in zip(trees, (loaded.known_tree, loaded.unknown_tree)):
+        assert got.feature_order == tree.feature_order
+        assert fingerprint(got) == fingerprint(tree)
+        for _ in range(300):
+            q = tuple(rng.randrange(len(interner) + 3)
+                      for _ in range(tree.arity))
+            assert got.classify(q) == tree.classify(q)

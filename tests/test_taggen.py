@@ -1,11 +1,14 @@
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import PV_LEXICON, PV_SENTENCE
+from conftest import (LEAF, PV_LEXICON, PV_SENTENCE, chained_known_tree_model,
+                      f1_model_with_known_nodes)
 from memtag.corpus import parse_corpus
 from memtag.errors import ModelFormatError, ParameterError
+from memtag.igtree import stats
 from memtag.interning import Interner
 from memtag.taggen import (TaggerConfig, TaggerModel, build_lexicon,
                            extract_known_cases, extract_unknown_cases,
@@ -384,8 +387,48 @@ def test_model_version_mismatch(f1):
 
 def test_model_truncated(f1):
     data = train(f1).to_bytes()
-    with pytest.raises(ModelFormatError):
-        TaggerModel.from_bytes(data[: len(data) // 2])
+    for n in range(len(data)):  # every proper prefix, the header's included
+        with pytest.raises(ModelFormatError):
+            TaggerModel.from_bytes(data[:n])
+
+
+def test_changed_content_fails_on_load(f1):
+    """A flag byte other than 0/1, a repeated arc value, and an interner
+    table out of id order would each load as a different model."""
+    model = train(f1)
+    data = model.to_bytes()
+    texts = [t.encode("utf-8") for t in model.interner]
+    size = 4 + sum(4 + len(t) for t in texts)
+    texts[0], texts[1] = texts[1], texts[0]
+    table = struct.pack("<I", len(texts)) + b"".join(
+        struct.pack("<I", len(t)) + t for t in texts)
+    arc = struct.pack("<I", 0) + LEAF
+    for bad in (data[:-1] + b"\x02",  # the has-closed-classes flag
+                f1_model_with_known_nodes(struct.pack("<2I", 0, 2) + arc * 2),
+                data[:6] + table + data[6 + size:]):
+        with pytest.raises(ModelFormatError):
+            TaggerModel.from_bytes(bad)
+
+
+def test_tree_deeper_than_arity_fails_on_load():
+    # a chain exactly as deep as the arity is a valid trie shape
+    assert TaggerModel.from_bytes(chained_known_tree_model(4)).known_tree
+    for depth in (5, 3000):
+        with pytest.raises(ModelFormatError, match="below the last feature"):
+            TaggerModel.from_bytes(chained_known_tree_model(depth))
+
+
+def test_tree_section_size_is_stats_serialized_bytes(f1):
+    m = train(f1)
+    size = len(m.to_bytes())
+    parts = (m.interner, m.lexicon, m.config, m.known_weights,
+             m.unknown_weights)
+    no_known = TaggerModel(*parts, None, m.unknown_tree, m.fallback_tag)
+    no_unknown = TaggerModel(*parts, m.known_tree, None, m.fallback_tag)
+    assert (size - len(no_known.to_bytes())
+            == stats(m.known_tree).serialized_bytes)
+    assert (size - len(no_unknown.to_bytes())
+            == stats(m.unknown_tree).serialized_bytes)
 
 
 def test_synth_model_round_trip(synth_small):
@@ -396,24 +439,27 @@ def test_synth_model_round_trip(synth_small):
 
 def test_corrupt_models_fail_on_load_not_while_tagging(f1):
     """A corrupt model either raises ModelFormatError on load or tags and
-    explains every position cleanly, an unseen word and a numeral included."""
-    blob = train(f1).to_bytes()
+    explains every position cleanly, an unseen word and a numeral included.
+    The second model also stores a closed-class list in its config."""
+    closed = TaggerConfig(closed_class_tags=frozenset({"DT", "."}),
+                          route_numbers_to_unknown=False)
     sentences = [[t.word for t in s] for s in f1.sentences]
     sentences += [["the", "blorft", "61", "."], ["zzz"]]
-    rng = random.Random(1)
-    rejected = 0
-    for _ in range(1200):
-        data = bytearray(blob)
-        n = rng.randint(1, 4)
-        pos = rng.randrange(len(data) - n + 1)
-        data[pos:pos + n] = bytes(rng.randrange(256) for _ in range(n))
-        try:
-            model = TaggerModel.from_bytes(bytes(data))
-        except ModelFormatError:
-            rejected += 1
-            continue
-        for words in sentences:
-            assert len(model.tag(words)) == len(words)
-            for i in range(len(words)):
-                model.explain(words, i)
-    assert 0 < rejected < 1200
+    for blob in (train(f1).to_bytes(), train(f1, closed).to_bytes()):
+        rng = random.Random(1)
+        rejected = 0
+        for _ in range(1200):
+            data = bytearray(blob)
+            n = rng.randint(1, 4)
+            pos = rng.randrange(len(data) - n + 1)
+            data[pos:pos + n] = bytes(rng.randrange(256) for _ in range(n))
+            try:
+                model = TaggerModel.from_bytes(bytes(data))
+            except ModelFormatError:
+                rejected += 1
+                continue
+            for words in sentences:
+                assert len(model.tag(words)) == len(words)
+                for i in range(len(words)):
+                    model.explain(words, i)
+        assert 0 < rejected < 1200
