@@ -30,6 +30,21 @@ class Interner:
         for t in texts:
             self.intern(t)
 
+    @classmethod
+    def from_table(cls, texts: list[str]) -> "Interner":
+        """The interner whose id i is `texts[i]`, built in one step. Raises
+        ValueError unless the table starts with the two markers and repeats
+        no text."""
+        if texts[:2] != [BOUNDARY, UNKNOWN_MARK]:
+            raise ValueError("interner table does not start with the "
+                             "boundary and unknown markers")
+        ids = dict(zip(texts, range(len(texts))))
+        if len(ids) != len(texts):
+            raise ValueError("interner table repeats a text")
+        interner = cls.__new__(cls)
+        interner._ids, interner._texts = ids, texts
+        return interner
+
     def intern(self, text: str) -> int:
         sid = self._ids.get(text)
         if sid is None:

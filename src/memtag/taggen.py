@@ -29,8 +29,12 @@ from __future__ import annotations
 
 import re
 import struct
+import sys
+import zlib
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Iterator, Sequence
 
 from .casebase import CaseBase, Vector, majority_class
@@ -47,7 +51,7 @@ KNOWN_SLOTS = ("d-2", "d-1", "f", "a+1")
 UNKNOWN_SLOTS = ("p", "d-1", "a+1", "s-3", "s-2", "s-1")
 
 MAGIC = b"MBT1"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 # Digits with optional sign, optional 3-digit grouping commas, optional
 # decimal fraction: "61", "12,345.6", "-29".
@@ -85,7 +89,7 @@ class TaggerConfig:
         return tag.upper() not in DEFAULT_CLOSED_CLASS_TAGS
 
 
-@dataclass
+@dataclass(slots=True)
 class LexicalEntry:
     word: str
     tag_counts: dict[int, int]
@@ -126,17 +130,25 @@ class Lexicon:
         return amb / self.total_tokens
 
 
-def _make_entry(word: str, counts: dict[int, int], interner: Interner,
-                threshold: float) -> LexicalEntry:
+def _lexicon_tag(counts: dict[int, int], interner: Interner,
+                 threshold: float) -> tuple[tuple[int, ...], str]:
+    """The surviving tags of a word, most frequent first (ties by text),
+    and the text of its lexicon tag: the survivors joined with "-"."""
     total = sum(counts.values())
     keep = [t for t, n in counts.items() if n / total >= threshold]
     top = majority_class(counts, interner)
     if top not in keep:
         # Threshold filtering must never empty an entry.
         keep.append(top)
-    keep.sort(key=lambda t: (-counts[t], interner.text(t)))
-    amb = interner.intern("-".join(interner.text(t) for t in keep))
-    return LexicalEntry(word, counts, tuple(keep), amb)
+    text = interner.text
+    keep.sort(key=lambda t: (-counts[t], text(t)))
+    return tuple(keep), "-".join(map(text, keep))
+
+
+def _make_entry(word: str, counts: dict[int, int], interner: Interner,
+                threshold: float) -> LexicalEntry:
+    surviving, joined = _lexicon_tag(counts, interner, threshold)
+    return LexicalEntry(word, counts, surviving, interner.intern(joined))
 
 
 def build_lexicon(corpus: Corpus, interner: Interner,
@@ -493,18 +505,29 @@ def train(corpus: Corpus, config: TaggerConfig = TaggerConfig()) -> TaggerModel:
 # `_write_model` and `_read_model` are the only code that knows the layout.
 
 _U32 = struct.Struct("<I")
+_COLUMN_HEAD = struct.Struct("<BI")  # element width, element count
+_COLUMN_TYPES = {1: "B", 2: "H", 4: "I"}  # array typecode per width
+_SWAP = sys.byteorder == "big"  # columns are little-endian in the file
+# threshold, route numerals to unknown, fallback tag, has closed classes
+_CONFIG = struct.Struct("<dBIB")
 
 
-def _u32s(values: list[int]) -> bytes:
-    return struct.pack(f"<{len(values)}I", *values)
+def _column(values: Sequence[int]) -> bytes:
+    """Element width (1, 2 or 4 bytes, the smallest that holds the largest
+    value), element count, then the values little-endian."""
+    top = max(values, default=0)
+    width = 1 if top < 1 << 8 else 2 if top < 1 << 16 else 4
+    col = array(_COLUMN_TYPES[width], values)
+    if _SWAP:
+        col.byteswap()
+    return _COLUMN_HEAD.pack(width, len(col)) + col.tobytes()
 
 
-def _write_strings(out: bytearray, texts: Sequence[str]) -> None:
-    out += _U32.pack(len(texts))
-    for text in texts:
-        data = text.encode("utf-8")
-        out += _U32.pack(len(data))
-        out += data
+def _texts(texts: Sequence[str]) -> bytes:
+    """A column of code-point lengths, then the UTF-8 byte count and bytes
+    of all texts joined."""
+    blob = "".join(texts).encode("utf-8")
+    return _column([len(t) for t in texts]) + _U32.pack(len(blob)) + blob
 
 
 def _node_u32s(node: IGTreeNode, ints: list[int]) -> None:
@@ -519,34 +542,44 @@ def _node_u32s(node: IGTreeNode, ints: list[int]) -> None:
 
 
 def _write_model(model: TaggerModel) -> bytes:
-    """The model file, version 1. Integers are little-endian u32 unless
-    marked; a string is its UTF-8 byte length, then the bytes.
+    """The model file, version 2. Integers are little-endian u32 unless
+    marked; a column is `_column`'s, texts are `_texts`'.
 
         header     b"MBT1", u16 version
-        interner   count, then every symbol text in id order
-        lexicon    count, then per word: word id, lexicon tag, surviving
-                   tag count and ids, tag count and (tag, count) pairs
+        interner   every symbol text in id order, as texts
+        config     f64 threshold, u8 route numbers to unknown, fallback
+                   tag, u8 has closed classes (0 or 1); if 1, the sorted
+                   closed-class tags as texts
+        lexicon    four columns: word ids; per word its tag count; every
+                   word's tag ids; every word's counts of those tags
         weights    known then unknown: count, then that many f64 gains
         trees      known then unknown: u8 present (0 or 1); if present,
                    arity, case count, feature order, then the nodes in
                    preorder (`_node_u32s`)
-        config     f64 threshold, u8 route numbers to unknown, fallback
-                   tag, u8 has closed classes (0 or 1); if 1, the sorted
-                   closed-class tags as a count and strings
+        trailer    CRC-32 (`zlib.crc32`) of every byte before it
+
+    A word's surviving tags and lexicon tag are not stored: they follow
+    from its tag counts and the threshold (`_lexicon_tag`).
     """
     interner, config = model.interner, model.config
+    closed = config.closed_class_tags
     out = bytearray(MAGIC)
     out += struct.pack("<H", FORMAT_VERSION)
-    _write_strings(out, list(interner))
-    id_of = interner.id_of
-    ints = [len(model.lexicon.entries)]
-    for word, entry in model.lexicon.entries.items():
-        ints += (id_of(word), entry.ambiguous_tag, len(entry.surviving_tags))
-        ints += entry.surviving_tags
-        ints.append(len(entry.tag_counts))
-        for pair in entry.tag_counts.items():
-            ints += pair
-    out += _u32s(ints)
+    out += _texts(list(interner))
+    out += _CONFIG.pack(config.threshold, config.route_numbers_to_unknown,
+                        model.fallback_tag, closed is not None)
+    if closed is not None:
+        out += _texts(sorted(closed))
+    entries = model.lexicon.entries
+    tag_ids: list[int] = []
+    counts: list[int] = []
+    for entry in entries.values():
+        tag_ids += entry.tag_counts
+        counts += entry.tag_counts.values()
+    out += _column(list(map(interner.id_of, entries)))
+    out += _column([len(e.tag_counts) for e in entries.values()])
+    out += _column(tag_ids)
+    out += _column(counts)
     for weights in (model.known_weights, model.unknown_weights):
         out += _U32.pack(len(weights))
         out += struct.pack(f"<{len(weights)}d", *weights)
@@ -557,37 +590,96 @@ def _write_model(model: TaggerModel) -> bytes:
         out.append(1)
         ints = [tree.arity, tree.case_count, *tree.feature_order]
         _node_u32s(tree.root, ints)
-        out += _u32s(ints)
-    out += struct.pack("<d", config.threshold)
-    out.append(1 if config.route_numbers_to_unknown else 0)
-    out += _U32.pack(model.fallback_tag)
-    if config.closed_class_tags is None:
-        out.append(0)
-    else:
-        out.append(1)
-        _write_strings(out, sorted(config.closed_class_tags))
+        out += struct.pack(f"<{len(ints)}I", *ints)
+    out += _U32.pack(zlib.crc32(out))
     return bytes(out)
 
 
-def _read_flag(buf: bytes, off: int) -> tuple[bool, int]:
-    flag = buf[off]
-    if flag > 1:
-        raise ModelFormatError(f"flag byte {flag} is neither 0 nor 1")
-    return flag == 1, off + 1
+def _flag(byte: int) -> bool:
+    if byte > 1:
+        raise ModelFormatError(f"flag byte {byte} is neither 0 nor 1")
+    return byte == 1
 
 
-def _read_strings(buf: bytes, off: int) -> tuple[list[str], int]:
-    (n,) = _U32.unpack_from(buf, off)
-    off += 4
-    texts = []
-    for _ in range(n):
-        (size,) = _U32.unpack_from(buf, off)
-        start = off + 4
-        off = start + size
-        if off > len(buf):
-            raise ModelFormatError("truncated string")
-        texts.append(buf[start:off].decode("utf-8"))
-    return texts, off
+def _read_column(buf: bytes, off: int) -> tuple[array, int]:
+    """Inverse of `_column`; a width wider than the values need is
+    rejected, so that a column has one encoding."""
+    width, n = _COLUMN_HEAD.unpack_from(buf, off)
+    typecode = _COLUMN_TYPES.get(width)
+    if typecode is None:
+        raise ModelFormatError(f"column width {width} is not 1, 2 or 4")
+    start = off + _COLUMN_HEAD.size
+    off = start + width * n
+    if off > len(buf):
+        raise ModelFormatError("truncated column")
+    col = array(typecode)
+    col.frombytes(buf[start:off])
+    if _SWAP:
+        col.byteswap()
+    # width 2 is needed from 2**8 on, width 4 from 2**16 on
+    if width > 1 and max(col, default=0) < 1 << 4 * width:
+        raise ModelFormatError(
+            f"column width {width} is wider than its values")
+    return col, off
+
+
+def _read_texts(buf: bytes, off: int) -> tuple[list[str], int]:
+    lengths, off = _read_column(buf, off)
+    (size,) = _U32.unpack_from(buf, off)
+    start = off + 4
+    off = start + size
+    if off > len(buf):
+        raise ModelFormatError("truncated text blob")
+    blob = buf[start:off].decode("utf-8")
+    if sum(lengths) != len(blob):
+        raise ModelFormatError("text lengths do not add up to the text blob")
+    bounds = list(accumulate(lengths, initial=0))
+    return [blob[a:b] for a, b in zip(bounds, bounds[1:])], off
+
+
+def _read_lexicon(buf: bytes, off: int, interner: Interner, threshold: float
+                  ) -> tuple[Lexicon, int]:
+    """The four lexicon columns, each entry's surviving tags and lexicon
+    tag recomputed as `_make_entry` computes them, interning nothing. A
+    word with one tag survives alone and is its own lexicon tag."""
+    word_ids, off = _read_column(buf, off)
+    n_tags, off = _read_column(buf, off)
+    tag_ids, off = _read_column(buf, off)
+    counts, off = _read_column(buf, off)
+    if not (len(word_ids) == len(n_tags)
+            and sum(n_tags) == len(tag_ids) == len(counts)):
+        raise ModelFormatError("lexicon column lengths disagree")
+    n_symbols = len(interner)
+    if max(word_ids, default=0) >= n_symbols:
+        raise ModelFormatError("lexicon word id is not a symbol")
+    if max(tag_ids, default=0) >= n_symbols:
+        raise ModelFormatError("lexicon tag id is not a symbol")
+    if 0 in n_tags or 0 in counts:
+        raise ModelFormatError("lexicon count of zero")
+    texts = list(interner)
+    entries: dict[str, LexicalEntry] = {}
+    start = 0
+    for word_id, n in zip(word_ids, n_tags):
+        word = texts[word_id]
+        if n == 1:
+            tag = tag_ids[start]
+            entries[word] = LexicalEntry(word, {tag: counts[start]}, (tag,),
+                                         tag)
+        else:
+            end = start + n
+            by_tag = dict(zip(tag_ids[start:end], counts[start:end]))
+            if len(by_tag) != n:
+                raise ModelFormatError(f"lexicon word {word!r} repeats a tag")
+            surviving, joined = _lexicon_tag(by_tag, interner, threshold)
+            amb = interner.id_of(joined)
+            if amb == NO_SYMBOL:
+                raise ModelFormatError(
+                    f"lexicon tag {joined!r} of {word!r} is not a symbol")
+            entries[word] = LexicalEntry(word, by_tag, surviving, amb)
+        start += n
+    if len(entries) != len(word_ids):
+        raise ModelFormatError("lexicon repeats a word")
+    return Lexicon(entries, sum(counts)), off
 
 
 def _read_node(buf: bytes, off: int, depth_left: int, n_symbols: int
@@ -616,11 +708,10 @@ def _read_node(buf: bytes, off: int, depth_left: int, n_symbols: int
 
 def _read_tree(buf: bytes, off: int, arity: int, n_symbols: int
                ) -> tuple[IGTree | None, int]:
-    present, off = _read_flag(buf, off)
-    if not present:
-        return None, off
-    tree_arity, case_count = struct.unpack_from("<2I", buf, off)
-    off += 8
+    if not _flag(buf[off]):
+        return None, off + 1
+    tree_arity, case_count = struct.unpack_from("<2I", buf, off + 1)
+    off += 9
     if tree_arity != arity:
         raise ModelFormatError(f"tree arity {tree_arity}, expected {arity}")
     order = struct.unpack_from(f"<{arity}I", buf, off)
@@ -632,66 +723,56 @@ def _read_tree(buf: bytes, off: int, arity: int, n_symbols: int
 
 
 def _read_model(buf: bytes) -> TaggerModel:
-    """Inverse of `_write_model`. Any buffer that is not a model file raises
-    ModelFormatError; so does any symbol id that tagging reads and the
-    interner lacks."""
+    """Inverse of `_write_model`. Checks, in order: the magic bytes, the
+    version, the CRC, then the body. Any buffer that is not a model file
+    raises ModelFormatError; so does any symbol id the interner lacks."""
     if buf[:4] != MAGIC:
         raise ModelFormatError("bad magic bytes: not a tagger model file")
+    if len(buf) < 6:
+        raise ModelFormatError("truncated model header")
+    (version,) = struct.unpack_from("<H", buf, 4)
+    if version != FORMAT_VERSION:
+        raise ModelFormatError(
+            f"model version {version} is not supported (this memtag reads "
+            f"version {FORMAT_VERSION}); retrain the model")
+    body = buf[:-4]
+    if (len(buf) < 10
+            or zlib.crc32(body) != _U32.unpack_from(buf, len(body))[0]):
+        raise ModelFormatError("CRC mismatch: the model file is corrupt "
+                               "or truncated")
     try:
-        (version,) = struct.unpack_from("<H", buf, 4)
-        if version != FORMAT_VERSION:
-            raise ModelFormatError(f"unsupported model version {version} "
-                                   f"(expected {FORMAT_VERSION})")
-        texts, off = _read_strings(buf, 6)
-        interner = Interner(texts)
-        if list(interner) != texts:
-            raise ModelFormatError(
-                "interner table repeats a text or is out of id order")
+        texts, off = _read_texts(body, 6)
+        interner = Interner.from_table(texts)
         n_symbols = len(texts)
-
-        (n_entries,) = _U32.unpack_from(buf, off)
-        off += 4
-        lexicon = Lexicon()
-        for _ in range(n_entries):
-            word_id, amb, n_surv = struct.unpack_from("<3I", buf, off)
-            off += 12
-            if amb >= n_symbols:
-                raise ModelFormatError(f"lexicon tag {amb} is not a symbol")
-            surviving = struct.unpack_from(f"<{n_surv}I", buf, off)
-            off += 4 * n_surv
-            (n_tags,) = _U32.unpack_from(buf, off)
-            off += 4
-            pairs = struct.unpack_from(f"<{2 * n_tags}I", buf, off)
-            off += 8 * n_tags
-            counts = dict(zip(pairs[::2], pairs[1::2]))
-            word = texts[word_id]
-            lexicon.entries[word] = LexicalEntry(word, counts, surviving, amb)
-            lexicon.total_tokens += sum(counts.values())
-
+        threshold, route_numbers, fallback, has_closed = (
+            _CONFIG.unpack_from(body, off))
+        off += _CONFIG.size
+        if fallback >= n_symbols:
+            raise ModelFormatError(f"fallback tag {fallback} is not a symbol")
+        closed = None
+        if _flag(has_closed):
+            tags, off = _read_texts(body, off)
+            if tags != sorted(set(tags)):
+                raise ModelFormatError(
+                    "closed-class tags are not sorted and distinct")
+            closed = frozenset(tags)
+        config = TaggerConfig(threshold, closed, _flag(route_numbers))
+        lexicon, off = _read_lexicon(body, off, interner, threshold)
         weights = []
         for arity in (KNOWN_ARITY, UNKNOWN_ARITY):
-            (n,) = _U32.unpack_from(buf, off)
+            (n,) = _U32.unpack_from(body, off)
             if n != arity:
                 raise ModelFormatError(f"{n} weights for arity {arity}")
-            weights.append(struct.unpack_from(f"<{n}d", buf, off + 4))
+            weights.append(struct.unpack_from(f"<{n}d", body, off + 4))
             off += 4 + 8 * n
-        known_tree, off = _read_tree(buf, off, KNOWN_ARITY, n_symbols)
-        unknown_tree, off = _read_tree(buf, off, UNKNOWN_ARITY, n_symbols)
-
-        (threshold,) = struct.unpack_from("<d", buf, off)
-        route_numbers, off = _read_flag(buf, off + 8)
-        (fallback,) = _U32.unpack_from(buf, off)
-        has_closed, off = _read_flag(buf, off + 4)
-        closed = None
-        if has_closed:
-            tags, off = _read_strings(buf, off)
-            closed = frozenset(tags)
-    except (struct.error, IndexError, UnicodeDecodeError) as exc:
+        known_tree, off = _read_tree(body, off, KNOWN_ARITY, n_symbols)
+        unknown_tree, off = _read_tree(body, off, UNKNOWN_ARITY, n_symbols)
+    except ModelFormatError:
+        raise
+    except (struct.error, IndexError, ValueError) as exc:
+        # ValueError covers bad UTF-8 and Interner.from_table's checks
         raise ModelFormatError(f"corrupt model file: {exc}") from exc
-    if off != len(buf):
-        raise ModelFormatError(f"{len(buf) - off} trailing bytes")
-    if fallback >= n_symbols:
-        raise ModelFormatError(f"fallback tag {fallback} is not a symbol")
-    config = TaggerConfig(threshold, closed, route_numbers)
+    if off != len(body):
+        raise ModelFormatError(f"{len(body) - off} trailing bytes")
     return TaggerModel(interner, lexicon, config, weights[0], weights[1],
                        known_tree, unknown_tree, fallback)

@@ -1,6 +1,7 @@
 import os
 import random
 import struct
+import zlib
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -45,19 +46,81 @@ def tree_header(tree):
 LEAF = struct.pack("<2I", 0, 0)  # a tree node: default symbol 0, no arcs
 
 
+def with_crc(data):
+    """A patched model file with its CRC-32 trailer recomputed, so that the
+    reader's body checks see the patch."""
+    body = bytes(data[:-4])
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def column(values, width=None):
+    """A column of the model file: its element width (by default the
+    smallest of 1, 2 and 4 bytes that holds the values), its length, then
+    the values little-endian."""
+    if width is None:
+        top = max(values, default=0)
+        width = 1 if top < 1 << 8 else 2 if top < 1 << 16 else 4
+    code = {1: "B", 2: "H", 4: "I"}[width]
+    return struct.pack(f"<BI{len(values)}{code}", width, len(values), *values)
+
+
+def text_table(texts):
+    """An interner or closed-class section of the model file: a column of
+    code-point lengths, then the UTF-8 byte count and bytes of the texts."""
+    blob = "".join(texts).encode("utf-8")
+    return column([len(t) for t in texts]) + struct.pack("<I", len(blob)) + blob
+
+
+def config_offset(model):
+    """Where the config section starts: after the header and the interner."""
+    return 6 + len(text_table(list(model.interner)))
+
+
+def lexicon_columns(model):
+    """The four lexicon columns of a model file as lists: word ids, tags per
+    word, then every word's tag ids and counts."""
+    entries = model.lexicon.entries.values()
+    return ([model.interner.id_of(e.word) for e in entries],
+            [len(e.tag_counts) for e in entries],
+            [t for e in entries for t in e.tag_counts],
+            [n for e in entries for n in e.tag_counts.values()])
+
+
+def f1_model_with_lexicon(section):
+    """The f1 model file with its lexicon section replaced by `section`,
+    the CRC recomputed."""
+    model = train(read_corpus(F1_PATH))
+    data = model.to_bytes()
+    start = config_offset(model) + 14  # a config without closed classes
+    old = b"".join(map(column, lexicon_columns(model)))
+    assert data[start:start + len(old)] == old
+    return with_crc(data[:start] + section + data[start + len(old):])
+
+
+def fingerprint(tree):
+    """Everything the model file stores of a tree, arc order included."""
+    def node(n):
+        arcs = (None if n.arcs is None
+                else tuple((v, node(child)) for v, child in n.arcs.items()))
+        return n.default, arcs
+    return tree.arity, tree.case_count, tree.feature_order, node(tree.root)
+
+
 def f1_model_with_known_nodes(nodes):
-    """The f1 model file with its known tree's nodes replaced by `nodes`."""
+    """The f1 model file with its known tree's nodes replaced by `nodes`,
+    the CRC recomputed."""
     model = train(read_corpus(F1_PATH))
     data = model.to_bytes()
     header = tree_header(model.known_tree)
     start = data.index(header)
     end = start + stats(model.known_tree).serialized_bytes
-    return data[:start] + header + nodes + data[end:]
+    return with_crc(data[:start] + header + nodes + data[end:])
 
 
 def chained_known_tree_model(depth):
     """The f1 model with its known tree replaced by a chain of `depth`
-    one-arc nodes (default and arc value both symbol 0) ending in a leaf."""
+    one-arc nodes (default and arc value both symbol 0) ending in a leaf,
+    the CRC recomputed."""
     return f1_model_with_known_nodes(struct.pack("<3I", 0, 1, 0) * depth + LEAF)
 
 

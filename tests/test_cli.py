@@ -1,12 +1,16 @@
 import os
+import struct
 
 import pytest
 
-from conftest import F1_PATH, chained_known_tree_model, tree_header
+from conftest import (F1_PATH, chained_known_tree_model, column,
+                      f1_model_with_lexicon, lexicon_columns, tree_header,
+                      with_crc)
 from memtag.cli import main
-from memtag.corpus import write_corpus
+from memtag.corpus import read_corpus, write_corpus
+from memtag.errors import ModelFormatError
 from memtag.synth import SynthConfig, synth_corpus
-from memtag.taggen import TaggerModel
+from memtag.taggen import TaggerModel, train
 
 
 @pytest.fixture
@@ -75,7 +79,7 @@ def test_tag_output_file(model_path, tmp_path):
     assert outp.read_text().strip() == "the/DT cat/NN ./."
 
 
-def test_tag_model_version_mismatch(model_path, tmp_path):
+def test_tag_model_version_mismatch(model_path, tmp_path, capsys):
     data = bytearray(open(model_path, "rb").read())
     data[4:6] = (77).to_bytes(2, "little")
     bad = tmp_path / "bad.model"
@@ -83,9 +87,10 @@ def test_tag_model_version_mismatch(model_path, tmp_path):
     inp = tmp_path / "in.txt"
     inp.write_text("the cat .\n")
     assert main(["tag", str(inp), "--model", str(bad)]) == 3
+    assert "model version 77 " in capsys.readouterr().err
 
 
-def test_tag_tree_default_out_of_range(model_path, tmp_path):
+def test_tag_tree_default_out_of_range(model_path, tmp_path, capsys):
     # the unknown tree's root default, patched past the symbol table: an
     # unseen word with no seen letter misses at the root and would answer it
     model = TaggerModel.load(model_path)
@@ -96,22 +101,56 @@ def test_tag_tree_default_out_of_range(model_path, tmp_path):
     assert data[root:root + 4] == tree.root.default.to_bytes(4, "little")
     data[root:root + 4] = (0xFFFFFFFF).to_bytes(4, "little")
     bad = tmp_path / "bad.model"
-    bad.write_bytes(bytes(data))
+    bad.write_bytes(with_crc(data))
     inp = tmp_path / "in.txt"
     inp.write_text("zzz\n")
     assert main(["tag", str(inp), "--model", str(bad)]) == 3
+    assert "tree default 4294967295 is not a symbol" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("data", [
-    b"MBT1\x01",  # a magic number, then half a version
-    chained_known_tree_model(3000),  # arcs far below the last feature
-], ids=["short_header", "deep_tree"])
-def test_tag_malformed_model_exits_3(data, tmp_path):
+def zero_count_model():
+    """The f1 model with its first lexicon count set to 0, CRC recomputed."""
+    words, n_tags, tag_ids, counts = lexicon_columns(train(read_corpus(F1_PATH)))
+    return f1_model_with_lexicon(b"".join(
+        map(column, (words, n_tags, tag_ids, [0, *counts[1:]]))))
+
+
+def flipped_byte_model():
+    """The f1 model with one byte of its body changed, CRC left as it was."""
+    data = bytearray(train(read_corpus(F1_PATH)).to_bytes())
+    data[len(data) // 2] ^= 0x01
+    return bytes(data)
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"MBT1\x01", "truncated model header"),  # half a version
+    (flipped_byte_model(), "CRC mismatch"),
+    (zero_count_model(), "lexicon count of zero"),  # CRC-valid
+    (chained_known_tree_model(3000), "below the last feature"),  # CRC-valid
+], ids=["short_header", "crc_mismatch", "zero_count", "deep_tree"])
+def test_tag_malformed_model_exits_3(data, message, tmp_path, capsys):
     bad = tmp_path / "bad.model"
     bad.write_bytes(data)
     inp = tmp_path / "in.txt"
     inp.write_text("the cat .\n")
     assert main(["tag", str(inp), "--model", str(bad)]) == 3
+    assert message in capsys.readouterr().err
+
+
+def test_v1_model_rejected(tmp_path, capsys):
+    """A version 1 file is refused by its version, before its CRC is read,
+    with a message that says to retrain."""
+    # the v1 header, then the start of its interner table: "=" and "UNK-A"
+    v1 = b"MBT1" + struct.pack("<HII", 1, 2, 1) + b"=" + struct.pack("<I", 5)
+    v1 += b"UNK-A"
+    with pytest.raises(ModelFormatError, match="version 1 .*retrain"):
+        TaggerModel.from_bytes(v1)
+    bad = tmp_path / "v1.model"
+    bad.write_bytes(v1)
+    inp = tmp_path / "in.txt"
+    inp.write_text("the cat .\n")
+    assert main(["tag", str(inp), "--model", str(bad)]) == 3
+    assert "version 1 " in capsys.readouterr().err
 
 
 def test_eval_table_and_artifacts(model_path, tmp_path, capsys):

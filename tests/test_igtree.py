@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from conftest import fingerprint
 from memtag.casebase import CaseBase, majority_class
 from memtag.errors import StructureError
 from memtag.ib import classify_ib1ig
@@ -75,15 +76,6 @@ def same_structure(node, oracle):
         return False
     return all(same_structure(node.arcs[v], oracle["arcs"][v])
                for v in node.arcs)
-
-
-def fingerprint(tree):
-    """Everything the model file stores of a tree, arc order included."""
-    def node(n):
-        arcs = (None if n.arcs is None
-                else tuple((v, node(child)) for v, child in n.arcs.items()))
-        return n.default, arcs
-    return tree.arity, tree.case_count, tree.feature_order, node(tree.root)
 
 
 def test_build_matches_oracle_on_f1(f1):

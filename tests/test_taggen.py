@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (LEAF, PV_LEXICON, PV_SENTENCE, chained_known_tree_model,
-                      f1_model_with_known_nodes)
+                      column, config_offset, f1_model_with_known_nodes,
+                      f1_model_with_lexicon, fingerprint, lexicon_columns,
+                      text_table, with_crc)
 from memtag.corpus import parse_corpus
 from memtag.errors import ModelFormatError, ParameterError
 from memtag.igtree import stats
@@ -374,14 +376,14 @@ def test_model_round_trip_preserves_config(f1):
 def test_model_bad_magic(f1):
     data = bytearray(train(f1).to_bytes())
     data[:4] = b"NOPE"
-    with pytest.raises(ModelFormatError):
+    with pytest.raises(ModelFormatError, match="bad magic"):
         TaggerModel.from_bytes(bytes(data))
 
 
 def test_model_version_mismatch(f1):
     data = bytearray(train(f1).to_bytes())
     data[4:6] = (99).to_bytes(2, "little")
-    with pytest.raises(ModelFormatError):
+    with pytest.raises(ModelFormatError, match="version 99 "):
         TaggerModel.from_bytes(bytes(data))
 
 
@@ -393,21 +395,91 @@ def test_model_truncated(f1):
 
 
 def test_changed_content_fails_on_load(f1):
-    """A flag byte other than 0/1, a repeated arc value, and an interner
-    table out of id order would each load as a different model."""
+    """A flag byte other than 0/1, a repeated arc value, an interner table
+    that repeats a text or moves a marker, and a closed-class list out of
+    order would each load as a different model."""
     model = train(f1)
     data = model.to_bytes()
-    texts = [t.encode("utf-8") for t in model.interner]
-    size = 4 + sum(4 + len(t) for t in texts)
-    texts[0], texts[1] = texts[1], texts[0]
-    table = struct.pack("<I", len(texts)) + b"".join(
-        struct.pack("<I", len(t)) + t for t in texts)
+    texts = list(model.interner)
+    table = text_table(texts)
+    assert data[6:6 + len(table)] == table
+    flag = config_offset(model) + 13  # the has-closed-classes flag
+    assert data[flag] == 0
+
+    def with_table(new):
+        return with_crc(data[:6] + text_table(new) + data[6 + len(table):])
+
+    closed_model = train(f1, TaggerConfig(
+        closed_class_tags=frozenset({"DT", "."})))
+    closed = closed_model.to_bytes()
+    tags = config_offset(closed_model) + 14  # after the 14-byte config
+    sorted_tags = text_table([".", "DT"])
+    assert closed[tags:tags + len(sorted_tags)] == sorted_tags
     arc = struct.pack("<I", 0) + LEAF
-    for bad in (data[:-1] + b"\x02",  # the has-closed-classes flag
-                f1_model_with_known_nodes(struct.pack("<2I", 0, 2) + arc * 2),
-                data[:6] + table + data[6 + size:]):
-        with pytest.raises(ModelFormatError):
+    for bad, message in (
+            (with_crc(data[:flag] + b"\x02" + data[flag + 1:]), "flag byte 2 "),
+            (f1_model_with_known_nodes(struct.pack("<2I", 0, 2) + arc * 2),
+             "repeated tree arc value"),
+            (with_table([texts[1], texts[0], *texts[2:]]),
+             "boundary and unknown markers"),
+            (with_table([*texts[:3], texts[2], *texts[4:]]),
+             "repeats a text"),
+            (with_crc(closed[:tags] + text_table(["DT", "."])
+                      + closed[tags + len(sorted_tags):]),
+             "not sorted and distinct")):
+        with pytest.raises(ModelFormatError, match=message):
             TaggerModel.from_bytes(bad)
+
+
+def test_lexicon_checked_on_load(f1):
+    """Every lexicon id is a symbol, every count positive, no word or tag
+    repeats, the columns agree in length and have one width each, and a
+    recomputed lexicon tag is a symbol."""
+    model = train(f1)
+    words, n_tags, tag_ids, counts = lexicon_columns(model)
+    id_of = model.interner.id_of
+    n_symbols = len(model.interner)
+    i = words.index(id_of("cat"))  # one tag: NN
+    j = sum(n_tags[:i])  # cat's tag in the flattened columns
+    assert n_tags[i] == 1 and tag_ids[j] == id_of("NN") and i > 0
+
+    def section(*columns):
+        return b"".join(map(column, columns))
+
+    def cat_tags(ids):
+        n = [*n_tags[:i], len(ids), *n_tags[i + 1:]]
+        t = [*tag_ids[:j], *ids, *tag_ids[j + 1:]]
+        c = [*counts[:j], *[1] * len(ids), *counts[j + 1:]]
+        return section(words, n, t, c)
+
+    def replaced(values, at, value):
+        return [*values[:at], value, *values[at + 1:]]
+
+    good = f1_model_with_lexicon(section(words, n_tags, tag_ids, counts))
+    assert good == model.to_bytes()
+    nn, dt = id_of("NN"), id_of("DT")
+    for bad_section, message in (
+            (section(words, n_tags, tag_ids, counts[:-1]),
+             "column lengths disagree"),
+            (section(words[:-1], n_tags, tag_ids, counts),
+             "column lengths disagree"),
+            (section(replaced(words, i, n_symbols), n_tags, tag_ids, counts),
+             "word id is not a symbol"),
+            (section(words, n_tags, replaced(tag_ids, j, n_symbols), counts),
+             "tag id is not a symbol"),
+            (section(words, n_tags, tag_ids, replaced(counts, j, 0)),
+             "count of zero"),
+            (cat_tags([]), "count of zero"),
+            (section(replaced(words, i, words[0]), n_tags, tag_ids, counts),
+             "repeats a word"),
+            (cat_tags([nn, nn]), "'cat' repeats a tag"),
+            (cat_tags([nn, dt]), "'DT-NN' of 'cat' is not a symbol"),
+            (column(words, width=2) + section(n_tags, tag_ids, counts),
+             "width 2 is wider than its values"),
+            (struct.pack("<BI", 3, 0) + section(n_tags, tag_ids, counts),
+             "width 3 is not 1, 2 or 4")):
+        with pytest.raises(ModelFormatError, match=message):
+            TaggerModel.from_bytes(f1_model_with_lexicon(bad_section))
 
 
 def test_tree_deeper_than_arity_fails_on_load():
@@ -432,32 +504,75 @@ def test_tree_section_size_is_stats_serialized_bytes(f1):
 
 
 def test_synth_model_round_trip(synth_small):
-    model = train(synth_small)
-    blob = model.to_bytes()
-    assert TaggerModel.from_bytes(blob).to_bytes() == blob
+    """The loaded model is the trained one: lexicon entries (surviving tags
+    and lexicon tag included), trees, weights, config and fallback. The
+    second config keeps more tags per word and stores a closed-class list."""
+    for config in (TaggerConfig(),
+                   TaggerConfig(threshold=0.02,
+                                closed_class_tags=frozenset({"DT", "IN"}),
+                                route_numbers_to_unknown=False)):
+        model = train(synth_small, config)
+        blob = model.to_bytes()
+        loaded = TaggerModel.from_bytes(blob)
+        assert loaded.to_bytes() == blob
+        assert loaded.lexicon == model.lexicon
+        assert sum(e.is_ambiguous for e in model.lexicon.entries.values()) > 10
+        assert list(loaded.interner) == list(model.interner)
+        assert loaded.config == model.config == config
+        assert loaded.fallback_tag == model.fallback_tag
+        assert loaded.known_weights == model.known_weights
+        assert loaded.unknown_weights == model.unknown_weights
+        for got, want in ((loaded.known_tree, model.known_tree),
+                          (loaded.unknown_tree, model.unknown_tree)):
+            assert fingerprint(got) == fingerprint(want)
+
+
+def corruptions(blob):
+    """1,200 seeded corruptions of a model file: each changes 1 to 4
+    consecutive bytes."""
+    rng = random.Random(1)
+    for _ in range(1200):
+        data = bytearray(blob)
+        n = rng.randint(1, 4)
+        pos = rng.randrange(len(data) - n + 1)
+        for k in range(pos, pos + n):
+            data[k] ^= rng.randrange(1, 256)
+        yield bytes(data)
+
+
+def f1_models(f1):
+    """The f1 model, and the f1 model with a closed-class list in its
+    config and numerals on the known route."""
+    closed = TaggerConfig(closed_class_tags=frozenset({"DT", "."}),
+                          route_numbers_to_unknown=False)
+    return train(f1).to_bytes(), train(f1, closed).to_bytes()
+
+
+def test_corrupt_models_fail_on_checksum(f1):
+    """The CRC catches every corruption of 1 to 4 bytes; the magic and the
+    version are checked before it."""
+    for blob in f1_models(f1):
+        for data in corruptions(blob):
+            with pytest.raises(ModelFormatError, match="magic|version|CRC"):
+                TaggerModel.from_bytes(data)
 
 
 def test_corrupt_models_fail_on_load_not_while_tagging(f1):
-    """A corrupt model either raises ModelFormatError on load or tags and
-    explains every position cleanly, an unseen word and a numeral included.
-    The second model also stores a closed-class list in its config."""
-    closed = TaggerConfig(closed_class_tags=frozenset({"DT", "."}),
-                          route_numbers_to_unknown=False)
+    """The same corruptions with the CRC recomputed reach the body checks:
+    each either raises ModelFormatError on load, or loads a model that
+    writes the same bytes back and tags and explains every position
+    cleanly, an unseen word and a numeral included."""
     sentences = [[t.word for t in s] for s in f1.sentences]
     sentences += [["the", "blorft", "61", "."], ["zzz"]]
-    for blob in (train(f1).to_bytes(), train(f1, closed).to_bytes()):
-        rng = random.Random(1)
+    for blob in f1_models(f1):
         rejected = 0
-        for _ in range(1200):
-            data = bytearray(blob)
-            n = rng.randint(1, 4)
-            pos = rng.randrange(len(data) - n + 1)
-            data[pos:pos + n] = bytes(rng.randrange(256) for _ in range(n))
+        for data in map(with_crc, corruptions(blob)):
             try:
-                model = TaggerModel.from_bytes(bytes(data))
+                model = TaggerModel.from_bytes(data)
             except ModelFormatError:
                 rejected += 1
                 continue
+            assert model.to_bytes() == data
             for words in sentences:
                 assert len(model.tag(words)) == len(words)
                 for i in range(len(words)):
