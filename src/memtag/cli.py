@@ -118,8 +118,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
         raise ParameterError("curve requires --sizes")
     points = evaluation.learning_curve(
         corpus, sizes, k=args.folds, seed=args.seed,
-        config=_tagger_config(args), gold_left_context=args.gold_left_context,
-        jobs=args.jobs)
+        config=_tagger_config(args), gold_left_context=args.gold_left_context)
     _write_text(args.out, evaluation.curve_tsv(points))
     return EXIT_OK
 
@@ -167,7 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated token counts")
     p.add_argument("--folds", type=int, default=10)
     p.add_argument("--gold-left-context", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", metavar="FILE")
 
     return parser

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from statistics import mean, pstdev
 
@@ -118,30 +117,12 @@ class CVResult:
     reports: list[EvalReport]
 
 
-def _on_folds(fn, corpus: Corpus, k: int, seed: int, jobs: int,
-              *extra) -> list:
-    """fn(train, test, *extra) on every cross-validation fold, in `jobs`
-    worker processes when jobs > 1 (fn must then be a module-level function,
-    which pickles by name)."""
-    calls = [(tr, te, *extra) for tr, te in cv_folds(corpus, k, seed)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, *zip(*calls)))
-    return [fn(*call) for call in calls]
-
-
-def _fold_eval(train_c: Corpus, test_c: Corpus, config: TaggerConfig,
-               gold_left_context: bool) -> EvalReport:
-    return evaluate(train(train_c, config), test_c, gold_left_context)
-
-
 def cross_validate(corpus: Corpus, k: int = 10, seed: int = 0,
                    config: TaggerConfig = TaggerConfig(),
-                   gold_left_context: bool = False,
-                   jobs: int = 1) -> CVResult:
+                   gold_left_context: bool = False) -> CVResult:
     """Train and evaluate once per fold; aggregate the total accuracy."""
-    reports = _on_folds(_fold_eval, corpus, k, seed, jobs, config,
-                        gold_left_context)
+    reports = [evaluate(train(tr, config), te, gold_left_context)
+               for tr, te in cv_folds(corpus, k, seed)]
     values = [r.accuracy_total for r in reports]
     return CVResult(mean(values), pstdev(values), reports)
 
@@ -155,8 +136,8 @@ class LearningCurvePoint:
 
 def learning_curve(corpus: Corpus, sizes: list[int], k: int = 10,
                    seed: int = 0, config: TaggerConfig = TaggerConfig(),
-                   gold_left_context: bool = False,
-                   jobs: int = 1) -> list[LearningCurvePoint]:
+                   gold_left_context: bool = False
+                   ) -> list[LearningCurvePoint]:
     """One cross-validated accuracy per dataset size (in tokens).
 
     Each size takes the corpus's leading sentences up to that many tokens,
@@ -178,7 +159,7 @@ def learning_curve(corpus: Corpus, sizes: list[int], k: int = 10,
             sub.append(sent)
             tokens += len(sent)
         result = cross_validate(Corpus(sub), k, seed, config,
-                                gold_left_context, jobs)
+                                gold_left_context)
         points.append(LearningCurvePoint(tokens, result.mean, result.stddev))
     return points
 
@@ -239,10 +220,11 @@ def compare_algorithms(train_c: Corpus, test_c: Corpus,
 
 
 def compare_on_folds(corpus: Corpus, k: int = 10, seed: int = 0,
-                     config: TaggerConfig = TaggerConfig(),
-                     jobs: int = 1) -> list[dict[str, float]]:
-    """compare_algorithms on every cross-validation fold."""
-    return _on_folds(compare_algorithms, corpus, k, seed, jobs, config)
+                     config: TaggerConfig = TaggerConfig()
+                     ) -> list[dict[str, float]]:
+    """compare_algorithms on every cross-validation fold, in fold order."""
+    return [compare_algorithms(tr, te, config)
+            for tr, te in cv_folds(corpus, k, seed)]
 
 
 def gains_tsv(weights) -> str:

@@ -18,26 +18,23 @@ from itertools import accumulate
 
 from .corpus import Corpus, Sentence, Token
 
-OPEN_TAG_POOL = ("NN", "VB", "JJ", "RB", "NNS", "VBD", "VBZ", "VBG",
-                 "NNP", "VBN", "JJR", "RBR", "NNPS", "JJS")
-CLOSED_TAG_POOL = ("DT", "IN", "CC", "MD", "TO", "PDT")
+OPEN_TAGS = ("NN", "VB", "JJ", "RB", "NNS", "VBD", "VBZ")
+CLOSED_TAGS = ("DT", "IN", "CC")
 SUFFIX_POOL = ("s", "ed", "ing", "ly", "ion", "er", "est", "al",
                "ous", "ment", "ness", "ity", "ate", "ish")
+AMBIGUOUS_HEAD_FRACTION = 0.10  # share of types, by rank, that may carry two tags
+AMBIGUOUS_PROB = 0.65  # chance that such a head type does
+SUFFIX_PROB = 0.7  # chance that an open-class form gets one of its tag's suffixes
+NUMBER_PROB = 0.01  # chance that a token is a numeral, on top of the CD state
+MIN_LEN = 4  # sentence length in words, before the final "."
+MAX_LEN = 22
 
 
 @dataclass(frozen=True)
 class SynthConfig:
     n_tokens: int = 100_000
     n_types: int = 1_200
-    n_open_tags: int = 7
-    n_closed_tags: int = 3
     zipf_exponent: float = 1.25
-    ambiguous_head_fraction: float = 0.10
-    ambiguous_prob: float = 0.65
-    suffix_prob: float = 0.7
-    number_prob: float = 0.01
-    min_len: int = 4
-    max_len: int = 22
     seed: int = 17
 
 
@@ -57,33 +54,31 @@ class _Sampler:
 
 def synth_corpus(config: SynthConfig = SynthConfig()) -> Corpus:
     rng = random.Random(config.seed)
-    open_tags = list(OPEN_TAG_POOL[:config.n_open_tags])
-    closed_tags = list(CLOSED_TAG_POOL[:config.n_closed_tags])
-    chain_tags = open_tags + closed_tags + ["CD"]
+    chain_tags = [*OPEN_TAGS, *CLOSED_TAGS, "CD"]
 
     # 2-3 suffixes per open tag, drawn with replacement across tags so that
     # some suffixes stay ambiguous between tags.
     suffixes = {tag: [rng.choice(SUFFIX_POOL) for _ in range(rng.randint(2, 3))]
-                for tag in open_tags}
+                for tag in OPEN_TAGS}
 
     # Word types: Zipf weight by rank; head types may be tag-ambiguous.
-    head = max(1, int(config.n_types * config.ambiguous_head_fraction))
+    head = max(1, int(config.n_types * AMBIGUOUS_HEAD_FRACTION))
     forms: set[str] = set()
     type_tags: list[tuple[str, ...]] = []
     type_forms: list[str] = []
     for i in range(config.n_types):
-        primary = rng.choice(open_tags if i >= head or rng.random() < 0.5
-                             else closed_tags)
+        primary = rng.choice(OPEN_TAGS if i >= head or rng.random() < 0.5
+                             else CLOSED_TAGS)
         tags = (primary,)
-        if i < head and rng.random() < config.ambiguous_prob:
-            other = rng.choice([t for t in open_tags + closed_tags
+        if i < head and rng.random() < AMBIGUOUS_PROB:
+            other = rng.choice([t for t in OPEN_TAGS + CLOSED_TAGS
                                 if t != primary])
             tags = (primary, other)
         while True:
             stem = "".join(rng.choice("abcdefghijklmnopqrstuvwxyz")
                            for _ in range(rng.randint(2, 6)))
             form = stem
-            if primary in suffixes and rng.random() < config.suffix_prob:
+            if primary in suffixes and rng.random() < SUFFIX_PROB:
                 form += rng.choice(suffixes[primary])
             if form not in forms:
                 break
@@ -118,11 +113,11 @@ def synth_corpus(config: SynthConfig = SynthConfig()) -> Corpus:
     sentences: list[Sentence] = []
     total = 0
     while total < config.n_tokens:
-        length = rng.randint(config.min_len, config.max_len)
+        length = rng.randint(MIN_LEN, MAX_LEN)
         sent: Sentence = []
         tag = start.draw(rng)
         for _ in range(length):
-            if tag == "CD" or rng.random() < config.number_prob:
+            if tag == "CD" or rng.random() < NUMBER_PROB:
                 sent.append(Token(_number_form(rng), "CD"))
             else:
                 idx = emitters[tag].draw(rng)

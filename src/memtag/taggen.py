@@ -91,7 +91,6 @@ class TaggerConfig:
 
 @dataclass(slots=True)
 class LexicalEntry:
-    word: str
     tag_counts: dict[int, int]
     surviving_tags: tuple[int, ...]
     ambiguous_tag: int
@@ -108,7 +107,10 @@ class LexicalEntry:
 @dataclass
 class Lexicon:
     entries: dict[str, LexicalEntry] = field(default_factory=dict)
-    total_tokens: int = 0
+
+    @property
+    def total_tokens(self) -> int:
+        return sum(e.total for e in self.entries.values())
 
     @property
     def type_count(self) -> int:
@@ -145,10 +147,10 @@ def _lexicon_tag(counts: dict[int, int], interner: Interner,
     return tuple(keep), "-".join(map(text, keep))
 
 
-def _make_entry(word: str, counts: dict[int, int], interner: Interner,
+def _make_entry(counts: dict[int, int], interner: Interner,
                 threshold: float) -> LexicalEntry:
     surviving, joined = _lexicon_tag(counts, interner, threshold)
-    return LexicalEntry(word, counts, surviving, interner.intern(joined))
+    return LexicalEntry(counts, surviving, interner.intern(joined))
 
 
 def build_lexicon(corpus: Corpus, interner: Interner,
@@ -160,7 +162,6 @@ def build_lexicon(corpus: Corpus, interner: Interner,
     if not corpus.sentences:
         raise ParameterError("cannot build a lexicon from an empty corpus")
     counts: dict[str, dict[int, int]] = {}
-    total = 0
     for sent in corpus.sentences:
         for word, tag in sent:
             tid = interner.intern(tag)
@@ -169,11 +170,10 @@ def build_lexicon(corpus: Corpus, interner: Interner,
                 counts[word] = {tid: 1}
             else:
                 by_tag[tid] = by_tag.get(tid, 0) + 1
-            total += 1
-    lexicon = Lexicon(total_tokens=total)
+    lexicon = Lexicon()
     for word, by_tag in counts.items():
         interner.intern(word)
-        lexicon.entries[word] = _make_entry(word, by_tag, interner, threshold)
+        lexicon.entries[word] = _make_entry(by_tag, interner, threshold)
     return lexicon
 
 
@@ -186,8 +186,7 @@ def lexicon_from_tag_counts(
     for word, by_tag in word_tag_counts.items():
         counts = {interner.intern(t): n for t, n in by_tag.items()}
         interner.intern(word)
-        lexicon.entries[word] = _make_entry(word, counts, interner, threshold)
-        lexicon.total_tokens += sum(by_tag.values())
+        lexicon.entries[word] = _make_entry(counts, interner, threshold)
     return lexicon
 
 
@@ -663,8 +662,7 @@ def _read_lexicon(buf: bytes, off: int, interner: Interner, threshold: float
         word = texts[word_id]
         if n == 1:
             tag = tag_ids[start]
-            entries[word] = LexicalEntry(word, {tag: counts[start]}, (tag,),
-                                         tag)
+            entries[word] = LexicalEntry({tag: counts[start]}, (tag,), tag)
         else:
             end = start + n
             by_tag = dict(zip(tag_ids[start:end], counts[start:end]))
@@ -675,11 +673,11 @@ def _read_lexicon(buf: bytes, off: int, interner: Interner, threshold: float
             if amb == NO_SYMBOL:
                 raise ModelFormatError(
                     f"lexicon tag {joined!r} of {word!r} is not a symbol")
-            entries[word] = LexicalEntry(word, by_tag, surviving, amb)
+            entries[word] = LexicalEntry(by_tag, surviving, amb)
         start += n
     if len(entries) != len(word_ids):
         raise ModelFormatError("lexicon repeats a word")
-    return Lexicon(entries, sum(counts)), off
+    return Lexicon(entries), off
 
 
 def _read_node(buf: bytes, off: int, depth_left: int, n_symbols: int

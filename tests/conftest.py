@@ -80,7 +80,7 @@ def lexicon_columns(model):
     """The four lexicon columns of a model file as lists: word ids, tags per
     word, then every word's tag ids and counts."""
     entries = model.lexicon.entries.values()
-    return ([model.interner.id_of(e.word) for e in entries],
+    return ([model.interner.id_of(w) for w in model.lexicon.entries],
             [len(e.tag_counts) for e in entries],
             [t for e in entries for t in e.tag_counts],
             [n for e in entries for n in e.tag_counts.values()])

@@ -200,7 +200,7 @@ def test_criterion_6_accuracy_parity(synth_100k):
     def check():
         assert synth_100k.token_count >= 100_000
         t0 = time.perf_counter()
-        per_fold = compare_on_folds(synth_100k, k=10, seed=0, jobs=2)
+        per_fold = compare_on_folds(synth_100k, k=10, seed=0)
         elapsed = time.perf_counter() - t0
         assert len(per_fold) == 10
         for accs in per_fold:
@@ -222,7 +222,7 @@ def test_criterion_7_learning_curve(synth_300k):
     def check():
         assert synth_300k.token_count >= 300_000
         sizes = [30_000 + 27_000 * i for i in range(11)]
-        points = learning_curve(synth_300k, sizes, k=10, seed=0, jobs=2)
+        points = learning_curve(synth_300k, sizes, k=10, seed=0)
         assert len(points) == 11
         deltas = [points[i + 1].mean_accuracy - points[i].mean_accuracy
                   for i in range(10)]

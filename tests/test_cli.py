@@ -191,9 +191,11 @@ def test_curve_requires_sizes(tmp_path):
 
 
 def test_usage_error_exit_code():
-    with pytest.raises(SystemExit) as exc:
-        main(["definitely-not-a-command"])
-    assert exc.value.code == 2
+    for argv in (["definitely-not-a-command"],
+                 ["curve", F1_PATH, "--sizes", "10", "--jobs", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 def test_closed_class_file(tmp_path, capsys):

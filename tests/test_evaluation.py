@@ -1,7 +1,7 @@
 import pytest
 
 from memtag import ib
-from memtag.corpus import Corpus, parse_corpus
+from memtag.corpus import Corpus, cv_folds, parse_corpus
 from memtag.errors import ParameterError
 from memtag.evaluation import (compare_algorithms, compare_on_folds,
                                cross_validate, curve_tsv, evaluate, gains_tsv,
@@ -85,12 +85,19 @@ def test_cross_validate_too_few_sentences(f1):
         cross_validate(f1, k=10)
 
 
-def test_cross_validate_parallel_matches_serial(synth_small):
+def test_folds_evaluated_in_fold_order(synth_small):
     sub = Corpus(synth_small.sentences[:120])
-    serial = cross_validate(sub, k=3, seed=2)
-    parallel = cross_validate(sub, k=3, seed=2, jobs=2)
-    assert serial.mean == parallel.mean
-    assert serial.stddev == parallel.stddev
+    folds = cv_folds(sub, 3, 2)
+
+    def counts(report):
+        return (report.known_total, report.known_correct,
+                report.unknown_total, report.unknown_correct)
+
+    result = cross_validate(sub, k=3, seed=2)
+    assert [counts(r) for r in result.reports] == [
+        counts(evaluate(train(tr), te)) for tr, te in folds]
+    assert compare_on_folds(sub, k=3, seed=2) == [
+        compare_algorithms(tr, te) for tr, te in folds]
 
 
 def test_learning_curve_full_size_equals_cross_validate(synth_small):
