@@ -9,6 +9,7 @@ deterministic.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Iterable, Iterator, Mapping
 
 from .errors import StructureError
@@ -35,28 +36,33 @@ class CaseBase:
 
     __slots__ = ("arity", "patterns", "total_cases", "interner")
 
-    def __init__(self, arity: int, interner: Interner):
+    def __init__(self, arity: int, interner: Interner,
+                 cases: Iterable[tuple[Vector, int]] = ()):
         if arity < 1:
             raise StructureError(f"arity must be >= 1, got {arity}")
         self.arity = arity
         self.interner = interner
         self.patterns: dict[Vector, ClassDistribution] = {}
         self.total_cases = 0
+        self.add_many(cases)
 
     def add(self, features: Vector, target: int) -> None:
-        if len(features) != self.arity:
-            raise StructureError(
-                f"case arity {len(features)} != base arity {self.arity}")
-        dist = self.patterns.get(features)
-        if dist is None:
-            self.patterns[features] = {target: 1}
-        else:
-            dist[target] = dist.get(target, 0) + 1
-        self.total_cases += 1
+        self.add_many(((features, target),))
 
     def add_many(self, cases: Iterable[tuple[Vector, int]]) -> None:
-        for features, target in cases:
-            self.add(features, target)
+        """Equal cases are counted, then stored once each in order of first
+        occurrence: the order that adding them one by one gives."""
+        patterns = self.patterns
+        for (features, target), n in Counter(cases).items():
+            dist = patterns.get(features)
+            if dist is None:
+                if len(features) != self.arity:
+                    raise StructureError(f"case arity {len(features)} != "
+                                         f"base arity {self.arity}")
+                patterns[features] = {target: n}
+            else:
+                dist[target] = dist.get(target, 0) + n
+            self.total_cases += n
 
     def class_counts(self) -> ClassDistribution:
         """Aggregate class distribution over all stored cases."""
@@ -66,14 +72,8 @@ class CaseBase:
                 totals[cls] = totals.get(cls, 0) + n
         return totals
 
-    def majority(self) -> int:
-        return majority_class(self.class_counts(), self.interner)
-
     def items(self) -> Iterator[tuple[Vector, ClassDistribution]]:
         return iter(self.patterns.items())
 
     def __len__(self) -> int:
         return len(self.patterns)
-
-    def __bool__(self) -> bool:
-        return bool(self.patterns)

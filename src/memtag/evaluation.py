@@ -23,7 +23,8 @@ from .igtree import build, prune
 from .interning import Interner
 from .metrics import information_gains
 from .taggen import (TaggerConfig, TaggerModel, build_lexicon,
-                     extract_known_cases, gold_known_windows, train)
+                     extract_known_cases, gold_known_windows,
+                     known_route_tags, train)
 
 @dataclass
 class EvalReport:
@@ -178,8 +179,8 @@ def known_eval_queries(test: Corpus, lexicon, interner: Interner,
     """(query, gold) pairs for every known-route test token, with gold left
     context: the training window, built without interning. Unseen gold tags
     map to NO_SYMBOL and can simply never be predicted."""
-    return list(gold_known_windows(test, lexicon, interner, config,
-                                   strict=False))
+    return list(gold_known_windows(test, lexicon, known_route_tags(
+        lexicon, config), interner, strict=False))
 
 
 def _cached_accuracy(classify, queries: list[tuple[Vector, int]]) -> float:

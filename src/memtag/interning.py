@@ -7,7 +7,7 @@ the marker for an unknown right neighbor; both exist in every interner.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 BOUNDARY = "="
 UNKNOWN_MARK = "UNK-A"
@@ -21,14 +21,13 @@ class Interner:
     """Bijective text <-> id map. Ids are dense and assigned in intern order."""
 
     __slots__ = ("_ids", "_texts")
+    boundary = 0  # the ids of BOUNDARY and UNKNOWN_MARK in every interner
+    unknown_mark = 1
 
     def __init__(self, texts: Iterable[str] = ()):
         self._ids: dict[str, int] = {}
         self._texts: list[str] = []
-        self.intern(BOUNDARY)
-        self.intern(UNKNOWN_MARK)
-        for t in texts:
-            self.intern(t)
+        self.intern_all([BOUNDARY, UNKNOWN_MARK, *texts])
 
     @classmethod
     def from_table(cls, texts: list[str]) -> "Interner":
@@ -53,6 +52,13 @@ class Interner:
             self._texts.append(text)
         return sid
 
+    def intern_all(self, texts: Sequence[str]) -> list[int]:
+        """`intern` of each text; one lookup pass if all are interned."""
+        sids = list(map(self._ids.get, texts))
+        if None in sids:
+            sids = list(map(self.intern, texts))
+        return sids
+
     def id_of(self, text: str) -> int:
         """Id for `text`, or NO_SYMBOL if it was never interned."""
         return self._ids.get(text, NO_SYMBOL)
@@ -60,20 +66,8 @@ class Interner:
     def text(self, sid: int) -> str:
         return self._texts[sid]
 
-    def texts(self, sids: Iterable[int]) -> tuple[str, ...]:
-        ts = self._texts
-        return tuple(ts[s] for s in sids)
-
     def __len__(self) -> int:
         return len(self._texts)
 
     def __iter__(self):
         return iter(self._texts)
-
-    @property
-    def boundary(self) -> int:
-        return 0
-
-    @property
-    def unknown_mark(self) -> int:
-        return 1

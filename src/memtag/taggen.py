@@ -34,7 +34,7 @@ import zlib
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Iterator, Sequence
 
 from .casebase import CaseBase, Vector, majority_class
@@ -147,10 +147,9 @@ def _lexicon_tag(counts: dict[int, int], interner: Interner,
     return tuple(keep), "-".join(map(text, keep))
 
 
-def _make_entry(counts: dict[int, int], interner: Interner,
-                threshold: float) -> LexicalEntry:
-    surviving, joined = _lexicon_tag(counts, interner, threshold)
-    return LexicalEntry(counts, surviving, interner.intern(joined))
+def _single_tag_entry(tag: int, count: int) -> LexicalEntry:
+    """A word's only tag survives whatever the threshold: its lexicon tag."""
+    return LexicalEntry({tag: count}, (tag,), tag)
 
 
 def build_lexicon(corpus: Corpus, interner: Interner,
@@ -161,32 +160,29 @@ def build_lexicon(corpus: Corpus, interner: Interner,
     descending-frequency order."""
     if not corpus.sentences:
         raise ParameterError("cannot build a lexicon from an empty corpus")
-    counts: dict[str, dict[int, int]] = {}
-    for sent in corpus.sentences:
-        for word, tag in sent:
-            tid = interner.intern(tag)
-            by_tag = counts.get(word)
-            if by_tag is None:
-                counts[word] = {tid: 1}
-            else:
-                by_tag[tid] = by_tag.get(tid, 0) + 1
-    lexicon = Lexicon()
-    for word, by_tag in counts.items():
-        interner.intern(word)
-        lexicon.entries[word] = _make_entry(by_tag, interner, threshold)
-    return lexicon
+    # Counter keys keep first-occurrence order; tags intern before words
+    by_word: dict[str, dict[str, int]] = {}
+    for (word, tag), n in Counter(chain.from_iterable(corpus.sentences)).items():
+        interner.intern(tag)
+        by_word.setdefault(word, {})[tag] = n
+    return lexicon_from_tag_counts(by_word, interner, threshold)
 
 
 def lexicon_from_tag_counts(
         word_tag_counts: dict[str, dict[str, int]], interner: Interner,
         threshold: float = 0.10) -> Lexicon:
-    """Build a lexicon from explicit per-word tag counts instead of a corpus
-    (for hand-built fixtures and external lexical resources)."""
+    """Build a lexicon from explicit per-word tag counts (for a corpus,
+    hand-built fixtures and external lexical resources)."""
     lexicon = Lexicon()
     for word, by_tag in word_tag_counts.items():
         counts = {interner.intern(t): n for t, n in by_tag.items()}
         interner.intern(word)
-        lexicon.entries[word] = _make_entry(counts, interner, threshold)
+        if len(counts) == 1:
+            entry = _single_tag_entry(*counts.popitem())
+        else:
+            surviving, joined = _lexicon_tag(counts, interner, threshold)
+            entry = LexicalEntry(counts, surviving, interner.intern(joined))
+        lexicon.entries[word] = entry
     return lexicon
 
 
@@ -212,24 +208,23 @@ def _route(words: Sequence[str], known_tags: dict[str, int],
     return focus, right
 
 
-def gold_known_windows(corpus: Corpus, lexicon: Lexicon, interner: Interner,
-                       config: TaggerConfig, strict: bool
-                       ) -> Iterator[tuple[Vector, int]]:
-    """(d-2, d-1, f, a+1) -> gold tag for every known-route token, the d
-    slots holding the gold tags of the left neighbors.
+def gold_known_windows(corpus: Corpus, lexicon: Lexicon,
+                       known_tags: dict[str, int], interner: Interner,
+                       strict: bool) -> Iterator[tuple[Vector, int]]:
+    """(d-2, d-1, f, a+1) -> gold tag for every token that the routing map
+    `known_tags` routes known, the d slots holding the left gold tags.
 
     In strict mode (training) gold tags are interned and every word must be
     in the lexicon. Otherwise (scoring held-out text) nothing is interned:
     unseen gold tags map to NO_SYMBOL and unseen words take the unknown
     route.
     """
-    known_tags = known_route_tags(lexicon, config)
     entries = lexicon.entries
-    symbol = interner.intern if strict else interner.id_of
     boundary = interner.boundary
     for sent in filter(None, corpus.sentences):  # zip(*sent) needs a token
         words, tags = zip(*sent)
-        gold = list(map(symbol, tags))
+        gold = (interner.intern_all(tags) if strict
+                else list(map(interner.id_of, tags)))
         focus, right = _route(words, known_tags, interner)
         d2 = d1 = boundary
         for word, f, a, g in zip(words, focus, right, gold):
@@ -250,10 +245,9 @@ def extract_known_cases(corpus: Corpus, lexicon: Lexicon, interner: Interner,
     to the unknown-word base (numbers, when that routing is on) contribute
     no case. Every corpus word must be in the lexicon.
     """
-    base = CaseBase(KNOWN_ARITY, interner)
-    base.add_many(gold_known_windows(corpus, lexicon, interner, config,
-                                     strict=True))
-    return base
+    known_tags = known_route_tags(lexicon, config)
+    return CaseBase(KNOWN_ARITY, interner, gold_known_windows(
+        corpus, lexicon, known_tags, interner, strict=True))
 
 
 def _letter_slots(word: str, interner: Interner, strict: bool) -> tuple[int, int, int, int]:
@@ -275,14 +269,20 @@ def extract_unknown_cases(corpus: Corpus, lexicon: Lexicon, interner: Interner,
     token, with a+1 built as for the known cases. Letters come from the raw
     form, case-sensitive: the first letter carries prefix and capitalization
     information. Every corpus word must be in the lexicon."""
-    base = CaseBase(UNKNOWN_ARITY, interner)
     known_tags = known_route_tags(lexicon, config)
+    return CaseBase(UNKNOWN_ARITY, interner, _unknown_windows(
+        corpus, lexicon, known_tags, interner, config))
+
+
+def _unknown_windows(corpus: Corpus, lexicon: Lexicon,
+                     known_tags: dict[str, int], interner: Interner,
+                     config: TaggerConfig) -> Iterator[tuple[Vector, int]]:
     entries = lexicon.entries
-    intern = interner.intern
     open_class: dict[str, bool] = {}  # is_open_class per distinct tag
+    letters: dict[str, tuple[int, int, int, int]] = {}  # per word type
     for sent in filter(None, corpus.sentences):  # zip(*sent) needs a token
         words, tags = zip(*sent)
-        gold = list(map(intern, tags))
+        gold = interner.intern_all(tags)
         focus, right = _route(words, known_tags, interner)
         d1 = interner.boundary
         for word, tag, f, a, g in zip(words, tags, focus, right, gold):
@@ -292,10 +292,10 @@ def extract_unknown_cases(corpus: Corpus, lexicon: Lexicon, interner: Interner,
             if is_open is None:
                 is_open = open_class[tag] = config.is_open_class(tag)
             if is_open:
-                first, s3, s2, s1 = _letter_slots(word, interner, strict=True)
-                base.add((first, d1, a, s3, s2, s1), g)
+                first, s3, s2, s1 = letters.get(word) or letters.setdefault(
+                    word, _letter_slots(word, interner, strict=True))
+                yield (first, d1, a, s3, s2, s1), g
             d1 = g
-    return base
 
 
 @dataclass(slots=True)
@@ -328,9 +328,9 @@ class Explanation:
 class TaggerModel:
     """Lexicon + two tries + weights + config, sharing one interner.
 
-    Routing is resolved once per lexicon word when the model is built (by
-    `train` or on load) with `known_route_tags`, so tagging a token costs
-    one dict lookup and never runs the numeral test. Immutable after
+    Routing is resolved once per lexicon word (`known_route_tags`, or the
+    map `train` built as `known_tags`), so tagging a token costs one dict
+    lookup and never runs the numeral test. Immutable after
     training or loading, so one model can serve concurrent tagging calls;
     the sequential dependency is within a sentence only.
     """
@@ -342,7 +342,8 @@ class TaggerModel:
     def __init__(self, interner: Interner, lexicon: Lexicon,
                  config: TaggerConfig, known_weights: FeatureWeights,
                  unknown_weights: FeatureWeights, known_tree: IGTree | None,
-                 unknown_tree: IGTree | None, fallback_tag: int):
+                 unknown_tree: IGTree | None, fallback_tag: int,
+                 known_tags: dict[str, int] | None = None):
         self.interner = interner
         self.lexicon = lexicon
         self.config = config
@@ -351,7 +352,7 @@ class TaggerModel:
         self.known_tree = known_tree
         self.unknown_tree = unknown_tree
         self.fallback_tag = fallback_tag
-        self._known_tags = known_route_tags(lexicon, config)
+        self._known_tags = known_tags or known_route_tags(lexicon, config)
 
     # -- tagging ---------------------------------------------------------
 
@@ -481,8 +482,11 @@ def train(corpus: Corpus, config: TaggerConfig = TaggerConfig()) -> TaggerModel:
         raise ParameterError("cannot train on an empty corpus")
     interner = Interner()
     lexicon = build_lexicon(corpus, interner, config.threshold)
-    known = extract_known_cases(corpus, lexicon, interner, config)
-    unknown = extract_unknown_cases(corpus, lexicon, interner, config)
+    known_tags = known_route_tags(lexicon, config)
+    known = CaseBase(KNOWN_ARITY, interner, gold_known_windows(
+        corpus, lexicon, known_tags, interner, strict=True))
+    unknown = CaseBase(UNKNOWN_ARITY, interner, _unknown_windows(
+        corpus, lexicon, known_tags, interner, config))
 
     known_weights = information_gains(known) if known else (0.0,) * KNOWN_ARITY
     unknown_weights = (information_gains(unknown) if unknown
@@ -491,13 +495,15 @@ def train(corpus: Corpus, config: TaggerConfig = TaggerConfig()) -> TaggerModel:
     unknown_tree = prune(build(unknown, unknown_weights)) if unknown else None
 
     # The lexicon has counted every token's tag once already.
-    tag_totals: Counter[int] = Counter()
+    tag_totals: dict[int, int] = {}
     for entry in lexicon.entries.values():
-        tag_totals.update(entry.tag_counts)
+        for tag, n in entry.tag_counts.items():
+            tag_totals[tag] = tag_totals.get(tag, 0) + n
     fallback = majority_class(tag_totals, interner)
 
     return TaggerModel(interner, lexicon, config, known_weights,
-                       unknown_weights, known_tree, unknown_tree, fallback)
+                       unknown_weights, known_tree, unknown_tree, fallback,
+                       known_tags)
 
 
 # -- model file -------------------------------------------------------------
@@ -639,8 +645,8 @@ def _read_texts(buf: bytes, off: int) -> tuple[list[str], int]:
 def _read_lexicon(buf: bytes, off: int, interner: Interner, threshold: float
                   ) -> tuple[Lexicon, int]:
     """The four lexicon columns, each entry's surviving tags and lexicon
-    tag recomputed as `_make_entry` computes them, interning nothing. A
-    word with one tag survives alone and is its own lexicon tag."""
+    tag recomputed as `lexicon_from_tag_counts` computes them, interning
+    nothing."""
     word_ids, off = _read_column(buf, off)
     n_tags, off = _read_column(buf, off)
     tag_ids, off = _read_column(buf, off)
@@ -661,8 +667,7 @@ def _read_lexicon(buf: bytes, off: int, interner: Interner, threshold: float
     for word_id, n in zip(word_ids, n_tags):
         word = texts[word_id]
         if n == 1:
-            tag = tag_ids[start]
-            entries[word] = LexicalEntry({tag: counts[start]}, (tag,), tag)
+            entries[word] = _single_tag_entry(tag_ids[start], counts[start])
         else:
             end = start + n
             by_tag = dict(zip(tag_ids[start:end], counts[start:end]))

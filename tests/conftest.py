@@ -6,7 +6,7 @@ import zlib
 import pytest
 from hypothesis import HealthCheck, settings
 
-from memtag.casebase import CaseBase
+from memtag.casebase import CaseBase, majority_class
 from memtag.corpus import read_corpus
 from memtag.igtree import stats
 from memtag.interning import Interner
@@ -34,6 +34,16 @@ PV_LEXICON = {
     "a": {"dt": 1}, "nonexecutive": {"jj": 1}, "director": {"nn": 1},
     "nov.": {"np": 1}, "29": {"cd": 1}, ".": {".": 1},
 }
+
+
+def texts(interner, sids):
+    """The texts of symbol ids, in order."""
+    return tuple(map(interner.text, sids))
+
+
+def majority(base):
+    """The most frequent class over all of a case base's cases."""
+    return majority_class(base.class_counts(), base.interner)
 
 
 def tree_header(tree):

@@ -3,12 +3,13 @@ line (run with -s to watch them). The heavyweight corpora are shared
 session fixtures; every tolerance is fixed here, not tuned at run time.
 """
 
+import hashlib
 import random
 import time
 
 import pytest
 
-from conftest import PV_LEXICON, PV_SENTENCE, random_case_base
+from conftest import PV_LEXICON, PV_SENTENCE, random_case_base, texts
 from memtag.casebase import CaseBase
 from memtag.corpus import parse_corpus
 from memtag.evaluation import compare_on_folds, evaluate, learning_curve
@@ -107,7 +108,8 @@ def test_criterion_3_table_transcription():
 
         keep_numbers = TaggerConfig(route_numbers_to_unknown=False)
         known = extract_known_cases(corpus, lexicon, interner, keep_numbers)
-        rows = [(interner.texts(v), interner.texts(d)) for v, d in known.items()]
+        rows = [(texts(interner, v), texts(interner, d))
+                for v, d in known.items()]
         assert rows[:6] == [
             (("=", "=", "np", "np"), ("np",)),
             (("=", "np", "np", ","), ("np",)),
@@ -118,7 +120,7 @@ def test_criterion_3_table_transcription():
         ]
 
         unknown = extract_unknown_cases(corpus, lexicon, interner)
-        urows = [(interner.texts(v), interner.texts(d))
+        urows = [(texts(interner, v), texts(interner, d))
                  for v, d in unknown.items()]
         assert urows[:5] == [
             (("P", "=", "np", "r", "r", "e"), ("np",)),
@@ -300,3 +302,23 @@ def test_criterion_9_determinism(f1, synth_medium, tmp_path):
             assert loaded.to_bytes() == blob1
 
     _report(9, "determinism", check)
+
+
+# -- pinned model bytes ---------------------------------------------------------
+
+NON_DEFAULT = TaggerConfig(route_numbers_to_unknown=False,
+                           closed_class_tags=frozenset({"DT", "."}))
+
+
+def test_model_bytes_pinned(model_100k, synth_100k, synth_medium):
+    """Model files are byte-identical to those of earlier releases: a
+    change to training that alters a model must say so and re-pin."""
+    def sha1(model):
+        return hashlib.sha1(model.to_bytes()).hexdigest()
+
+    assert sha1(model_100k) == "54e311be124ee939d47956414b6449c0dc19e09b"
+    assert (sha1(train(synth_100k, NON_DEFAULT))
+            == "caed4b60f9d5eb1c1d729eca61c4b2be60d00cd9")
+    assert sha1(train(synth_medium)) == "18a4519ed9f5e39cd31145265f9078aea79187f3"
+    assert (sha1(train(synth_medium, NON_DEFAULT))
+            == "0147034afe08cad3b6239c81d5020089220f146c")

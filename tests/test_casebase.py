@@ -7,7 +7,9 @@ from memtag.casebase import CaseBase, majority_class
 from memtag.errors import StructureError
 from memtag.ib import classify_ib1
 from memtag.interning import Interner
-from memtag.taggen import build_lexicon, extract_known_cases
+from memtag.taggen import (TaggerConfig, _unknown_windows, build_lexicon,
+                           extract_known_cases, extract_unknown_cases,
+                           gold_known_windows, known_route_tags)
 
 
 @pytest.fixture
@@ -79,6 +81,60 @@ def test_add_order_insensitive(cases, rnd):
     b.add_many(shuffled)
     assert a.patterns == b.patterns
     assert a.total_cases == b.total_cases
+
+
+def add_one_by_one(base, cases):
+    """The reference for add_many: each case stored as it comes."""
+    for features, target in cases:
+        if len(features) != base.arity:
+            raise StructureError("arity mismatch")
+        dist = base.patterns.get(features)
+        if dist is None:
+            base.patterns[features] = {target: 1}
+        else:
+            dist[target] = dist.get(target, 0) + 1
+        base.total_cases += 1
+
+
+def stored(base):
+    """Everything a case base holds, pattern order and class order included
+    (dict equality alone ignores order)."""
+    return ([(vec, list(dist.items())) for vec, dist in base.patterns.items()],
+            base.total_cases)
+
+
+@given(st.lists(st.tuples(st.tuples(st.integers(2, 5), st.integers(2, 5)),
+                          st.integers(6, 8)), max_size=60),
+       st.integers(0, 60))
+def test_add_many_matches_per_case_order(cases, split):
+    """Counting equal cases first keeps the order of one-by-one insertion,
+    also when a second batch adds to patterns the first one stored."""
+    interner = Interner([str(i) for i in range(9)])
+    counted = CaseBase(2, interner)
+    counted.add_many(cases[:split])
+    counted.add_many(iter(cases[split:]))
+    reference = CaseBase(2, interner)
+    add_one_by_one(reference, cases)
+    assert stored(counted) == stored(reference)
+
+
+def test_add_many_matches_per_case_order_on_corpora(f1, synth_small):
+    """Both extracted case bases equal the one-by-one insertion of their
+    case streams, in the order the corpus gives them."""
+    config = TaggerConfig()
+    for corpus in (f1, synth_small):
+        interner = Interner()
+        lexicon = build_lexicon(corpus, interner)
+        known_tags = known_route_tags(lexicon, config)
+        for extract, windows in (
+                (extract_known_cases, lambda: gold_known_windows(
+                    corpus, lexicon, known_tags, interner, strict=True)),
+                (extract_unknown_cases, lambda: _unknown_windows(
+                    corpus, lexicon, known_tags, interner, config))):
+            base = extract(corpus, lexicon, interner, config)
+            reference = CaseBase(base.arity, interner)
+            add_one_by_one(reference, windows())
+            assert stored(base) == stored(reference)
 
 
 @given(st.lists(st.tuples(st.tuples(st.integers(2, 4), st.integers(2, 4)),

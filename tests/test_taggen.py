@@ -7,19 +7,20 @@ from hypothesis import given, settings, strategies as st
 from conftest import (LEAF, PV_LEXICON, PV_SENTENCE, chained_known_tree_model,
                       column, config_offset, f1_model_with_known_nodes,
                       f1_model_with_lexicon, fingerprint, lexicon_columns,
-                      text_table, with_crc)
+                      text_table, texts, with_crc)
 from memtag.corpus import parse_corpus
 from memtag.errors import ModelFormatError, ParameterError
 from memtag.igtree import stats
 from memtag.interning import Interner
-from memtag.taggen import (TaggerConfig, TaggerModel, build_lexicon,
-                           extract_known_cases, extract_unknown_cases,
-                           is_number, lexicon_from_tag_counts, train)
+from memtag.taggen import (TaggerConfig, TaggerModel, _lexicon_tag,
+                           build_lexicon, extract_known_cases,
+                           extract_unknown_cases, is_number,
+                           lexicon_from_tag_counts, train)
 
 
 def rows_of(base):
     interner = base.interner
-    return [(interner.texts(vec), {interner.text(c): n for c, n in dist.items()})
+    return [(texts(interner, vec), {interner.text(c): n for c, n in dist.items()})
             for vec, dist in base.items()]
 
 
@@ -68,6 +69,38 @@ def test_lexicon_keeps_most_frequent_even_below_threshold():
     lex = build_lexicon(corpus, interner, threshold=0.9)
     # both shares are 0.5 < 0.9; the majority survives, tie broken by text
     assert interner.text(lex.entries["w"].ambiguous_tag) == "A"
+
+
+def lexicon_per_token(corpus, interner, threshold=0.10):
+    """The reference for build_lexicon: tags counted token by token, then
+    every word's entry built through `_lexicon_tag`, one tag or more."""
+    counts = {}
+    for sent in corpus.sentences:
+        for word, tag in sent:
+            by_tag = counts.setdefault(word, {})
+            tid = interner.intern(tag)
+            by_tag[tid] = by_tag.get(tid, 0) + 1
+    entries = {}
+    for word, by_tag in counts.items():
+        interner.intern(word)
+        surviving, joined = _lexicon_tag(by_tag, interner, threshold)
+        entries[word] = (list(by_tag.items()), surviving,
+                         interner.intern(joined))
+    return entries
+
+
+@pytest.mark.parametrize("threshold", [0.10, 0.35])
+def test_build_lexicon_matches_per_token_order(f1, synth_small, threshold):
+    """Same interner table, entry order and tag_counts order as counting
+    token by token."""
+    for corpus in (f1, synth_small):
+        counted, reference = Interner(), Interner()
+        lex = build_lexicon(corpus, counted, threshold)
+        expected = lexicon_per_token(corpus, reference, threshold)
+        assert list(counted) == list(reference)
+        assert list(lex.entries) == list(expected)
+        assert [(list(e.tag_counts.items()), e.surviving_tags, e.ambiguous_tag)
+                for e in lex.entries.values()] == list(expected.values())
 
 
 # -- case extraction -------------------------------------------------------
