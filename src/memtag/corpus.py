@@ -41,19 +41,20 @@ def parse_corpus(text: str) -> Corpus:
     word/tag half is an error reported with its line number.
     """
     sentences: list[Sentence] = []
+    # Token's own constructor is a Python-level function; tuple.__new__
+    # builds the same Token without that call.
+    new_tuple = tuple.__new__
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         sent: Sentence = []
         for item in line.split():
             word, sep, tag = item.rpartition("/")
-            if not sep:
-                raise CorpusParseError(
-                    f"token {item!r} has no word/tag separator", line_no)
-            if not word or not tag:
-                raise CorpusParseError(
-                    f"token {item!r} has an empty word or tag", line_no)
-            sent.append(Token(word, tag))
+            if not (word and tag):  # no separator leaves the word empty
+                problem = ("has an empty word or tag" if sep
+                           else "has no word/tag separator")
+                raise CorpusParseError(f"token {item!r} {problem}", line_no)
+            sent.append(new_tuple(Token, (word, tag)))
         sentences.append(sent)
     if not sentences:
         raise EmptyCorpusError("corpus contains no sentences")

@@ -180,7 +180,7 @@ def known_eval_queries(test: Corpus, lexicon, interner: Interner,
     context: the training window, built without interning. Unseen gold tags
     map to NO_SYMBOL and can simply never be predicted."""
     return list(gold_known_windows(test, lexicon, known_route_tags(
-        lexicon, config), interner, strict=False))
+        lexicon.lexicon_tags(), config), interner, strict=False))
 
 
 def _cached_accuracy(classify, queries: list[tuple[Vector, int]]) -> float:

@@ -35,7 +35,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
-from typing import Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .casebase import CaseBase, Vector, majority_class
 from .corpus import Corpus
@@ -116,6 +116,10 @@ class Lexicon:
     def type_count(self) -> int:
         return len(self.entries)
 
+    def lexicon_tags(self) -> Iterator[tuple[str, int]]:
+        """(word, lexicon tag) per entry, in entry order."""
+        return ((word, e.ambiguous_tag) for word, e in self.entries.items())
+
     @property
     def ambiguous_type_count(self) -> int:
         return sum(1 for e in self.entries.values() if e.is_ambiguous)
@@ -186,14 +190,15 @@ def lexicon_from_tag_counts(
     return lexicon
 
 
-def known_route_tags(lexicon: Lexicon, config: TaggerConfig) -> dict[str, int]:
-    """The routing rule: word -> lexicon tag for every word that takes the
-    known route. That is every lexicon word, minus the numerals when
-    `route_numbers_to_unknown` is set; any other word takes the unknown
-    route."""
-    route_numbers = config.route_numbers_to_unknown
-    return {word: entry.ambiguous_tag for word, entry in lexicon.entries.items()
-            if not (route_numbers and is_number(word))}
+def known_route_tags(lexicon_tags: Iterable[tuple[str, int]],
+                     config: TaggerConfig) -> dict[str, int]:
+    """The routing rule: word -> lexicon tag, from a lexicon's (word,
+    lexicon tag) pairs, for every word that takes the known route. That is
+    every lexicon word, minus the numerals when `route_numbers_to_unknown`
+    is set; any other word takes the unknown route."""
+    if not config.route_numbers_to_unknown:
+        return dict(lexicon_tags)
+    return {word: tag for word, tag in lexicon_tags if not is_number(word)}
 
 
 def _route(words: Sequence[str], known_tags: dict[str, int],
@@ -245,7 +250,7 @@ def extract_known_cases(corpus: Corpus, lexicon: Lexicon, interner: Interner,
     to the unknown-word base (numbers, when that routing is on) contribute
     no case. Every corpus word must be in the lexicon.
     """
-    known_tags = known_route_tags(lexicon, config)
+    known_tags = known_route_tags(lexicon.lexicon_tags(), config)
     return CaseBase(KNOWN_ARITY, interner, gold_known_windows(
         corpus, lexicon, known_tags, interner, strict=True))
 
@@ -269,7 +274,7 @@ def extract_unknown_cases(corpus: Corpus, lexicon: Lexicon, interner: Interner,
     token, with a+1 built as for the known cases. Letters come from the raw
     form, case-sensitive: the first letter carries prefix and capitalization
     information. Every corpus word must be in the lexicon."""
-    known_tags = known_route_tags(lexicon, config)
+    known_tags = known_route_tags(lexicon.lexicon_tags(), config)
     return CaseBase(UNKNOWN_ARITY, interner, _unknown_windows(
         corpus, lexicon, known_tags, interner, config))
 
@@ -329,30 +334,44 @@ class TaggerModel:
     """Lexicon + two tries + weights + config, sharing one interner.
 
     Routing is resolved once per lexicon word (`known_route_tags`, or the
-    map `train` built as `known_tags`), so tagging a token costs one dict
-    lookup and never runs the numeral test. Immutable after
-    training or loading, so one model can serve concurrent tagging calls;
-    the sequential dependency is within a sentence only.
+    map `train` or the loader built as `known_tags`), so tagging a token
+    costs one dict lookup, never runs the numeral test and never reads the
+    lexicon. The loader passes a function that builds the lexicon as
+    `lexicon`. Immutable after training or loading, apart from that first
+    build, so one model can serve concurrent tagging calls; the sequential
+    dependency is within a sentence only.
     """
 
-    __slots__ = ("interner", "lexicon", "config", "known_weights",
+    __slots__ = ("interner", "_lexicon", "config", "known_weights",
                  "unknown_weights", "known_tree", "unknown_tree",
                  "fallback_tag", "_known_tags")
 
-    def __init__(self, interner: Interner, lexicon: Lexicon,
+    def __init__(self, interner: Interner,
+                 lexicon: Lexicon | Callable[[], Lexicon],
                  config: TaggerConfig, known_weights: FeatureWeights,
                  unknown_weights: FeatureWeights, known_tree: IGTree | None,
                  unknown_tree: IGTree | None, fallback_tag: int,
                  known_tags: dict[str, int] | None = None):
         self.interner = interner
-        self.lexicon = lexicon
+        self._lexicon = lexicon
         self.config = config
         self.known_weights = known_weights
         self.unknown_weights = unknown_weights
         self.known_tree = known_tree
         self.unknown_tree = unknown_tree
         self.fallback_tag = fallback_tag
-        self._known_tags = known_tags or known_route_tags(lexicon, config)
+        if known_tags is None:
+            known_tags = known_route_tags(self.lexicon.lexicon_tags(), config)
+        self._known_tags = known_tags
+
+    @property
+    def lexicon(self) -> Lexicon:
+        """The lexicon, built here on first read if `lexicon` was a
+        function. A concurrent first read builds an equal one."""
+        lexicon = self._lexicon
+        if not isinstance(lexicon, Lexicon):
+            lexicon = self._lexicon = lexicon()
+        return lexicon
 
     # -- tagging ---------------------------------------------------------
 
@@ -482,7 +501,7 @@ def train(corpus: Corpus, config: TaggerConfig = TaggerConfig()) -> TaggerModel:
         raise ParameterError("cannot train on an empty corpus")
     interner = Interner()
     lexicon = build_lexicon(corpus, interner, config.threshold)
-    known_tags = known_route_tags(lexicon, config)
+    known_tags = known_route_tags(lexicon.lexicon_tags(), config)
     known = CaseBase(KNOWN_ARITY, interner, gold_known_windows(
         corpus, lexicon, known_tags, interner, strict=True))
     unknown = CaseBase(UNKNOWN_ARITY, interner, _unknown_windows(
@@ -642,11 +661,14 @@ def _read_texts(buf: bytes, off: int) -> tuple[list[str], int]:
     return [blob[a:b] for a, b in zip(bounds, bounds[1:])], off
 
 
-def _read_lexicon(buf: bytes, off: int, interner: Interner, threshold: float
-                  ) -> tuple[Lexicon, int]:
-    """The four lexicon columns, each entry's surviving tags and lexicon
-    tag recomputed as `lexicon_from_tag_counts` computes them, interning
-    nothing."""
+def _read_lexicon(buf: bytes, off: int, interner: Interner,
+                  config: TaggerConfig
+                  ) -> tuple[dict[str, int], Callable[[], Lexicon], int]:
+    """The four lexicon columns, checked in full. Returns the routing map
+    (`known_route_tags` of each word's lexicon tag, recomputed as
+    `lexicon_from_tag_counts` computes it, interning nothing) and a
+    function that builds the Lexicon from the kept columns, which cannot
+    fail."""
     word_ids, off = _read_column(buf, off)
     n_tags, off = _read_column(buf, off)
     tag_ids, off = _read_column(buf, off)
@@ -661,28 +683,42 @@ def _read_lexicon(buf: bytes, off: int, interner: Interner, threshold: float
         raise ModelFormatError("lexicon tag id is not a symbol")
     if 0 in n_tags or 0 in counts:
         raise ModelFormatError("lexicon count of zero")
-    texts = list(interner)
-    entries: dict[str, LexicalEntry] = {}
-    start = 0
-    for word_id, n in zip(word_ids, n_tags):
-        word = texts[word_id]
+    words = list(map(list(interner).__getitem__, word_ids))
+    starts = list(accumulate(n_tags, initial=0))
+    # each word's first tag: the lexicon tag of a single-tag word
+    lexicon_tags = list(map(tag_ids.__getitem__, starts[:-1]))
+    ambiguous: dict[str, tuple[tuple[int, ...], int]] = {}  # multi-tag words
+    for i, n in enumerate(n_tags):
         if n == 1:
-            entries[word] = _single_tag_entry(tag_ids[start], counts[start])
-        else:
-            end = start + n
-            by_tag = dict(zip(tag_ids[start:end], counts[start:end]))
-            if len(by_tag) != n:
-                raise ModelFormatError(f"lexicon word {word!r} repeats a tag")
-            surviving, joined = _lexicon_tag(by_tag, interner, threshold)
-            amb = interner.id_of(joined)
-            if amb == NO_SYMBOL:
-                raise ModelFormatError(
-                    f"lexicon tag {joined!r} of {word!r} is not a symbol")
-            entries[word] = LexicalEntry(by_tag, surviving, amb)
-        start += n
-    if len(entries) != len(word_ids):
+            continue
+        word, start, end = words[i], starts[i], starts[i + 1]
+        by_tag = dict(zip(tag_ids[start:end], counts[start:end]))
+        if len(by_tag) != n:
+            raise ModelFormatError(f"lexicon word {word!r} repeats a tag")
+        surviving, joined = _lexicon_tag(by_tag, interner, config.threshold)
+        amb = lexicon_tags[i] = interner.id_of(joined)
+        if amb == NO_SYMBOL:
+            raise ModelFormatError(
+                f"lexicon tag {joined!r} of {word!r} is not a symbol")
+        ambiguous[word] = surviving, amb
+    if len(set(word_ids)) != len(word_ids):
         raise ModelFormatError("lexicon repeats a word")
-    return Lexicon(entries), off
+
+    def build() -> Lexicon:
+        entries: dict[str, LexicalEntry] = {}
+        start = 0
+        for word, n in zip(words, n_tags):
+            if n == 1:
+                entries[word] = _single_tag_entry(tag_ids[start], counts[start])
+            else:
+                end = start + n
+                entries[word] = LexicalEntry(
+                    dict(zip(tag_ids[start:end], counts[start:end])),
+                    *ambiguous[word])
+            start += n
+        return Lexicon(entries)
+
+    return known_route_tags(zip(words, lexicon_tags), config), build, off
 
 
 def _read_node(buf: bytes, off: int, depth_left: int, n_symbols: int
@@ -760,7 +796,7 @@ def _read_model(buf: bytes) -> TaggerModel:
                     "closed-class tags are not sorted and distinct")
             closed = frozenset(tags)
         config = TaggerConfig(threshold, closed, _flag(route_numbers))
-        lexicon, off = _read_lexicon(body, off, interner, threshold)
+        known_tags, lexicon, off = _read_lexicon(body, off, interner, config)
         weights = []
         for arity in (KNOWN_ARITY, UNKNOWN_ARITY):
             (n,) = _U32.unpack_from(body, off)
@@ -778,4 +814,4 @@ def _read_model(buf: bytes) -> TaggerModel:
     if off != len(body):
         raise ModelFormatError(f"{len(body) - off} trailing bytes")
     return TaggerModel(interner, lexicon, config, weights[0], weights[1],
-                       known_tree, unknown_tree, fallback)
+                       known_tree, unknown_tree, fallback, known_tags)

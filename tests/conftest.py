@@ -11,7 +11,7 @@ from memtag.corpus import read_corpus
 from memtag.igtree import stats
 from memtag.interning import Interner
 from memtag.synth import SynthConfig, synth_corpus
-from memtag.taggen import train
+from memtag.taggen import LexicalEntry, train
 
 settings.register_profile(
     "suite", deadline=None,
@@ -44,6 +44,20 @@ def texts(interner, sids):
 def majority(base):
     """The most frequent class over all of a case base's cases."""
     return majority_class(base.class_counts(), base.interner)
+
+
+def count_lexical_entries(monkeypatch):
+    """A list that grows by one for every LexicalEntry built from now on,
+    until the monkeypatch is undone."""
+    built = []
+    init = LexicalEntry.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(LexicalEntry, "__init__", counting_init)
+    return built
 
 
 def tree_header(tree):

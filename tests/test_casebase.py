@@ -125,7 +125,7 @@ def test_add_many_matches_per_case_order_on_corpora(f1, synth_small):
     for corpus in (f1, synth_small):
         interner = Interner()
         lexicon = build_lexicon(corpus, interner)
-        known_tags = known_route_tags(lexicon, config)
+        known_tags = known_route_tags(lexicon.lexicon_tags(), config)
         for extract, windows in (
                 (extract_known_cases, lambda: gold_known_windows(
                     corpus, lexicon, known_tags, interner, strict=True)),

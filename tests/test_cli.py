@@ -4,8 +4,8 @@ import struct
 import pytest
 
 from conftest import (F1_PATH, chained_known_tree_model, column,
-                      f1_model_with_lexicon, lexicon_columns, tree_header,
-                      with_crc)
+                      count_lexical_entries, f1_model_with_lexicon,
+                      lexicon_columns, tree_header, with_crc)
 from memtag.cli import main
 from memtag.corpus import read_corpus, write_corpus
 from memtag.errors import ModelFormatError
@@ -171,6 +171,16 @@ def test_eval_table_and_artifacts(model_path, tmp_path, capsys):
 def test_eval_gold_left_context_flag(model_path):
     assert main(["eval", F1_PATH, "--model", model_path,
                  "--gold-left-context"]) == 0
+
+
+def test_tag_and_eval_build_no_lexicon_entries(model_path, tmp_path,
+                                                monkeypatch):
+    inp = tmp_path / "in.txt"
+    inp.write_text("the cat saw 61 blorfts .\n")
+    built = count_lexical_entries(monkeypatch)
+    assert main(["tag", str(inp), "--model", model_path]) == 0
+    assert main(["eval", F1_PATH, "--model", model_path]) == 0
+    assert built == []
 
 
 def test_curve_command(tmp_path, capsys):

@@ -41,6 +41,22 @@ def test_parse_errors_carry_line_numbers():
         parse_corpus("/DT")
 
 
+def test_parse_builds_tokens_and_names_each_fault():
+    """Parsed tokens are Tokens; each fault keeps its own message and
+    names its line."""
+    tok = parse_corpus("the/DT 1/2/CD").sentences[0][1]
+    assert type(tok) is Token and (tok.word, tok.tag) == ("1/2", "CD")
+    for text, message in (("a/A\nnoslash", "line 2: token 'noslash' has no "
+                           "word/tag separator"),
+                          ("a/A\n\n/DT", "line 3: token '/DT' has an empty "
+                           "word or tag"),
+                          ("a/ b/B", "line 1: token 'a/' has an empty word "
+                           "or tag")):
+        with pytest.raises(CorpusParseError) as exc:
+            parse_corpus(text)
+        assert str(exc.value) == message
+
+
 def test_blank_lines_skipped():
     c = parse_corpus("a/A b/B\n\nc/C\n")
     assert len(c) == 2

@@ -5,17 +5,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (LEAF, PV_LEXICON, PV_SENTENCE, chained_known_tree_model,
-                      column, config_offset, f1_model_with_known_nodes,
+                      column, config_offset, count_lexical_entries,
+                      f1_model_with_known_nodes,
                       f1_model_with_lexicon, fingerprint, lexicon_columns,
                       text_table, texts, with_crc)
 from memtag.corpus import parse_corpus
 from memtag.errors import ModelFormatError, ParameterError
+from memtag.evaluation import evaluate
 from memtag.igtree import stats
 from memtag.interning import Interner
 from memtag.taggen import (TaggerConfig, TaggerModel, _lexicon_tag,
                            build_lexicon, extract_known_cases,
                            extract_unknown_cases, is_number,
-                           lexicon_from_tag_counts, train)
+                           known_route_tags, lexicon_from_tag_counts, train)
+from memtag.synth import SynthConfig, synth_corpus
 
 
 def rows_of(base):
@@ -536,14 +539,17 @@ def test_tree_section_size_is_stats_serialized_bytes(f1):
             == stats(m.unknown_tree).serialized_bytes)
 
 
+# The second keeps more tags per word and stores a closed-class list.
+ROUND_TRIP_CONFIGS = (TaggerConfig(),
+                      TaggerConfig(threshold=0.02,
+                                   closed_class_tags=frozenset({"DT", "IN"}),
+                                   route_numbers_to_unknown=False))
+
+
 def test_synth_model_round_trip(synth_small):
     """The loaded model is the trained one: lexicon entries (surviving tags
-    and lexicon tag included), trees, weights, config and fallback. The
-    second config keeps more tags per word and stores a closed-class list."""
-    for config in (TaggerConfig(),
-                   TaggerConfig(threshold=0.02,
-                                closed_class_tags=frozenset({"DT", "IN"}),
-                                route_numbers_to_unknown=False)):
+    and lexicon tag included), trees, weights, config and fallback."""
+    for config in ROUND_TRIP_CONFIGS:
         model = train(synth_small, config)
         blob = model.to_bytes()
         loaded = TaggerModel.from_bytes(blob)
@@ -558,6 +564,64 @@ def test_synth_model_round_trip(synth_small):
         for got, want in ((loaded.known_tree, model.known_tree),
                           (loaded.unknown_tree, model.unknown_tree)):
             assert fingerprint(got) == fingerprint(want)
+
+
+def test_load_and_tag_build_no_lexicon_entries(synth_small, monkeypatch):
+    """A load routes from the lexicon columns: loading, tagging, explaining
+    and evaluating held-out text (unseen words and numerals included) build
+    no LexicalEntry and answer as the trained model does. The first read of
+    `.lexicon` builds the entries, and the loaded routing map is
+    known_route_tags of that lexicon."""
+    held_out = synth_corpus(SynthConfig(n_tokens=3000, seed=12))
+    held_out.sentences.append(parse_corpus(
+        "the/DT blorft/NN 61/CD 12,345.6/CD ./.").sentences[0])
+    sentences = [[t.word for t in s] for s in held_out.sentences]
+    for config in ROUND_TRIP_CONFIGS:
+        model = train(synth_small, config)
+        blob = model.to_bytes()
+        built = count_lexical_entries(monkeypatch)
+        loaded = TaggerModel.from_bytes(blob)
+        routes = set()
+        for words in sentences:
+            records = loaded.tag_records(words)
+            assert records == model.tag_records(words)
+            assert loaded.tag(words) == model.tag(words)
+            routes.update((r.route, is_number(r.word),
+                           r.word in model.lexicon.entries) for r in records)
+        assert loaded.explain(sentences[-1], 2) == model.explain(
+            sentences[-1], 2)
+        got, want = evaluate(loaded, held_out), evaluate(model, held_out)
+        assert ((got.known_total, got.known_correct, got.unknown_total,
+                 got.unknown_correct)
+                == (want.known_total, want.known_correct, want.unknown_total,
+                    want.unknown_correct))
+        assert built == []
+        assert ("unknown", True, False) in routes  # an unseen numeral
+        assert ("unknown", False, False) in routes  # an unseen word
+        assert loaded._known_tags == known_route_tags(
+            loaded.lexicon.lexicon_tags(), config)
+        assert len(built) == len(model.lexicon.entries)
+        monkeypatch.undo()
+
+
+def test_all_numeral_lexicon_builds_its_routing_map_once(monkeypatch):
+    """With every lexicon word a numeral routed unknown, the routing map is
+    empty. Training builds it once, and a load builds no entries."""
+    corpus = parse_corpus("12/CD 3,400/CD\n5.5/CD 77/CD -2/CD")
+    calls = []
+    route = known_route_tags
+    monkeypatch.setattr("memtag.taggen.known_route_tags",
+                        lambda *args: calls.append(args) or route(*args))
+    model = train(corpus)
+    assert len(calls) == 1 and model.known_tree is None
+    built = count_lexical_entries(monkeypatch)
+    loaded = TaggerModel.from_bytes(model.to_bytes())
+    words = ["12", "8", "3,400"]
+    assert [r.route for r in loaded.tag_records(words)] == ["unknown"] * 3
+    assert loaded.tag(words) == model.tag(words) == ["CD"] * 3
+    assert len(calls) == 2 and built == []
+    assert loaded.lexicon == model.lexicon
+    assert loaded.to_bytes() == model.to_bytes()
 
 
 def corruptions(blob):
