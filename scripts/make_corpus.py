@@ -6,8 +6,10 @@ Example:
 """
 
 import argparse
+import sys
 
 from memtag.corpus import write_corpus
+from memtag.errors import ParameterError
 from memtag.synth import SynthConfig, synth_corpus
 
 
@@ -20,13 +22,18 @@ def main():
     ap.add_argument("-o", "--output", required=True)
     args = ap.parse_args()
 
-    corpus = synth_corpus(SynthConfig(
-        n_tokens=args.tokens, n_types=args.types,
-        zipf_exponent=args.zipf, seed=args.seed))
+    try:
+        corpus = synth_corpus(SynthConfig(
+            n_tokens=args.tokens, n_types=args.types,
+            zipf_exponent=args.zipf, seed=args.seed))
+    except ParameterError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     write_corpus(corpus, args.output)
     print(f"{corpus.token_count} tokens / {len(corpus)} sentences "
           f"-> {args.output}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

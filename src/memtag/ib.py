@@ -36,9 +36,9 @@ class NearestSet:
         return pool
 
 
-def nearest_set(base: CaseBase, query: Vector,
-                weights: FeatureWeights | None = None) -> NearestSet:
-    """All stored patterns at minimal (weighted) overlap distance from query."""
+def _checked_weights(base: CaseBase, query: Vector,
+                     weights: FeatureWeights | None) -> FeatureWeights:
+    """Weights to search with (1.0 each if None), checked against base."""
     if not base.patterns:
         raise StructureError("nearest_set over an empty case base")
     if len(query) != base.arity:
@@ -49,6 +49,13 @@ def nearest_set(base: CaseBase, query: Vector,
     elif len(weights) != base.arity:
         raise StructureError(
             f"{len(weights)} weights for base arity {base.arity}")
+    return weights
+
+
+def nearest_set(base: CaseBase, query: Vector,
+                weights: FeatureWeights | None = None) -> NearestSet:
+    """All stored patterns at minimal (weighted) overlap distance from query."""
+    weights = _checked_weights(base, query, weights)
     best = float("inf")
     members: list[tuple[Vector, ClassDistribution]] = []
     for vec, dist in base.patterns.items():
@@ -131,16 +138,7 @@ class OverlapIndex:
         """nearest_set(self.base, query, weights), found through the index;
         the members are the same, possibly in another order."""
         base = self.base
-        if not base.patterns:
-            raise StructureError("nearest_set over an empty case base")
-        if len(query) != base.arity:
-            raise StructureError(
-                f"query arity {len(query)} != base arity {base.arity}")
-        if weights is None:
-            weights = (1.0,) * base.arity
-        elif len(weights) != base.arity:
-            raise StructureError(
-                f"{len(weights)} weights for base arity {base.arity}")
+        weights = _checked_weights(base, query, weights)
         if not all(w >= 0.0 for w in weights):
             return nearest_set(base, query, weights)
         if len(base.patterns) != self._size:

@@ -1,4 +1,4 @@
-"""String interning: every tag, feature value, and word form becomes a small int.
+"""String interning: every feature value becomes a small int; no word does.
 
 One interner is shared per tagger model, so feature comparison everywhere else
 is plain integer equality. Id 0 is always the sentence-boundary marker and id 1

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .corpus import Corpus, Sentence, Token
+from .errors import ParameterError
 
 OPEN_TAGS = ("NN", "VB", "JJ", "RB", "NNS", "VBD", "VBZ")
 CLOSED_TAGS = ("DT", "IN", "CC")
@@ -119,6 +120,8 @@ def synth_corpus(config: SynthConfig = SynthConfig()) -> Corpus:
         for _ in range(length):
             if tag == "CD" or rng.random() < NUMBER_PROB:
                 sent.append(Token(_number_form(rng), "CD"))
+            elif tag not in emitters:
+                raise ParameterError(f"too few types: none bears tag {tag!r}")
             else:
                 idx = emitters[tag].draw(rng)
                 sent.append(Token(type_forms[idx], tag))

@@ -4,7 +4,7 @@ From a tagged corpus, three structures are extracted: a lexicon mapping each
 word to its tag frequencies and one (possibly ambiguous) lexicon tag, a
 known-word case base, and an unknown-word case base. Each case base is
 weighted by information gain and compressed into a trie; the result plus the
-shared interner is the tagger model.
+shared interner of feature values (never words) is the tagger model.
 
 Case layouts
     known   (d-2, d-1, f, a+1) -> t   two disambiguated left tags, the focus
@@ -51,7 +51,7 @@ KNOWN_SLOTS = ("d-2", "d-1", "f", "a+1")
 UNKNOWN_SLOTS = ("p", "d-1", "a+1", "s-3", "s-2", "s-1")
 
 MAGIC = b"MBT1"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 # Digits with optional sign, optional 3-digit grouping commas, optional
 # decimal fraction: "61", "12,345.6", "-29".
@@ -164,7 +164,7 @@ def build_lexicon(corpus: Corpus, interner: Interner,
     descending-frequency order."""
     if not corpus.sentences:
         raise ParameterError("cannot build a lexicon from an empty corpus")
-    # Counter keys keep first-occurrence order; tags intern before words
+    # Counter keys keep first-occurrence order
     by_word: dict[str, dict[str, int]] = {}
     for (word, tag), n in Counter(chain.from_iterable(corpus.sentences)).items():
         interner.intern(tag)
@@ -180,7 +180,6 @@ def lexicon_from_tag_counts(
     lexicon = Lexicon()
     for word, by_tag in word_tag_counts.items():
         counts = {interner.intern(t): n for t, n in by_tag.items()}
-        interner.intern(word)
         if len(counts) == 1:
             entry = _single_tag_entry(*counts.popitem())
         else:
@@ -566,16 +565,16 @@ def _node_u32s(node: IGTreeNode, ints: list[int]) -> None:
 
 
 def _write_model(model: TaggerModel) -> bytes:
-    """The model file, version 2. Integers are little-endian u32 unless
+    """The model file, version 3. Integers are little-endian u32 unless
     marked; a column is `_column`'s, texts are `_texts`'.
 
         header     b"MBT1", u16 version
-        interner   every symbol text in id order, as texts
+        interner   every symbol (feature value) text in id order, as texts
         config     f64 threshold, u8 route numbers to unknown, fallback
                    tag, u8 has closed classes (0 or 1); if 1, the sorted
                    closed-class tags as texts
-        lexicon    four columns: word ids; per word its tag count; every
-                   word's tag ids; every word's counts of those tags
+        lexicon    the words as texts, then columns: per word its tag
+                   count; every word's tag ids; the counts of those tags
         weights    known then unknown: count, then that many f64 gains
         trees      known then unknown: u8 present (0 or 1); if present,
                    arity, case count, feature order, then the nodes in
@@ -600,7 +599,7 @@ def _write_model(model: TaggerModel) -> bytes:
     for entry in entries.values():
         tag_ids += entry.tag_counts
         counts += entry.tag_counts.values()
-    out += _column(list(map(interner.id_of, entries)))
+    out += _texts(list(entries))
     out += _column([len(e.tag_counts) for e in entries.values()])
     out += _column(tag_ids)
     out += _column(counts)
@@ -664,26 +663,22 @@ def _read_texts(buf: bytes, off: int) -> tuple[list[str], int]:
 def _read_lexicon(buf: bytes, off: int, interner: Interner,
                   config: TaggerConfig
                   ) -> tuple[dict[str, int], Callable[[], Lexicon], int]:
-    """The four lexicon columns, checked in full. Returns the routing map
-    (`known_route_tags` of each word's lexicon tag, recomputed as
-    `lexicon_from_tag_counts` computes it, interning nothing) and a
+    """The lexicon's words and three columns, checked in full. Returns the
+    routing map (`known_route_tags` of each word's lexicon tag, recomputed
+    as `lexicon_from_tag_counts` computes it, interning nothing) and a
     function that builds the Lexicon from the kept columns, which cannot
     fail."""
-    word_ids, off = _read_column(buf, off)
+    words, off = _read_texts(buf, off)
     n_tags, off = _read_column(buf, off)
     tag_ids, off = _read_column(buf, off)
     counts, off = _read_column(buf, off)
-    if not (len(word_ids) == len(n_tags)
+    if not (len(words) == len(n_tags)
             and sum(n_tags) == len(tag_ids) == len(counts)):
         raise ModelFormatError("lexicon column lengths disagree")
-    n_symbols = len(interner)
-    if max(word_ids, default=0) >= n_symbols:
-        raise ModelFormatError("lexicon word id is not a symbol")
-    if max(tag_ids, default=0) >= n_symbols:
+    if max(tag_ids, default=0) >= len(interner):
         raise ModelFormatError("lexicon tag id is not a symbol")
     if 0 in n_tags or 0 in counts:
         raise ModelFormatError("lexicon count of zero")
-    words = list(map(list(interner).__getitem__, word_ids))
     starts = list(accumulate(n_tags, initial=0))
     # each word's first tag: the lexicon tag of a single-tag word
     lexicon_tags = list(map(tag_ids.__getitem__, starts[:-1]))
@@ -701,7 +696,7 @@ def _read_lexicon(buf: bytes, off: int, interner: Interner,
             raise ModelFormatError(
                 f"lexicon tag {joined!r} of {word!r} is not a symbol")
         ambiguous[word] = surviving, amb
-    if len(set(word_ids)) != len(word_ids):
+    if len(set(words)) != len(words):
         raise ModelFormatError("lexicon repeats a word")
 
     def build() -> Lexicon:

@@ -89,8 +89,9 @@ def column(values, width=None):
 
 
 def text_table(texts):
-    """An interner or closed-class section of the model file: a column of
-    code-point lengths, then the UTF-8 byte count and bytes of the texts."""
+    """A text list of the model file (the interner, the closed-class tags,
+    the lexicon's words): a column of code-point lengths, then the UTF-8
+    byte count and bytes of the texts."""
     blob = "".join(texts).encode("utf-8")
     return column([len(t) for t in texts]) + struct.pack("<I", len(blob)) + blob
 
@@ -101,13 +102,19 @@ def config_offset(model):
 
 
 def lexicon_columns(model):
-    """The four lexicon columns of a model file as lists: word ids, tags per
-    word, then every word's tag ids and counts."""
+    """What the lexicon section of a model file stores, as lists: the
+    words, tags per word, then every word's tag ids and counts."""
     entries = model.lexicon.entries.values()
-    return ([model.interner.id_of(w) for w in model.lexicon.entries],
+    return (list(model.lexicon.entries),
             [len(e.tag_counts) for e in entries],
             [t for e in entries for t in e.tag_counts],
             [n for e in entries for n in e.tag_counts.values()])
+
+
+def lexicon_section(words, *columns):
+    """A lexicon section of the model file: the words as a text list, then
+    the columns."""
+    return text_table(words) + b"".join(map(column, columns))
 
 
 def f1_model_with_lexicon(section):
@@ -116,7 +123,7 @@ def f1_model_with_lexicon(section):
     model = train(read_corpus(F1_PATH))
     data = model.to_bytes()
     start = config_offset(model) + 14  # a config without closed classes
-    old = b"".join(map(column, lexicon_columns(model)))
+    old = lexicon_section(*lexicon_columns(model))
     assert data[start:start + len(old)] == old
     return with_crc(data[:start] + section + data[start + len(old):])
 

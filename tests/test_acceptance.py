@@ -316,9 +316,9 @@ def test_model_bytes_pinned(model_100k, synth_100k, synth_medium):
     def sha1(model):
         return hashlib.sha1(model.to_bytes()).hexdigest()
 
-    assert sha1(model_100k) == "54e311be124ee939d47956414b6449c0dc19e09b"
+    assert sha1(model_100k) == "4bcb5a25034fc17cd73e872476b8e127704e9a67"
     assert (sha1(train(synth_100k, NON_DEFAULT))
-            == "caed4b60f9d5eb1c1d729eca61c4b2be60d00cd9")
-    assert sha1(train(synth_medium)) == "18a4519ed9f5e39cd31145265f9078aea79187f3"
+            == "d2874290e5c4088135e8ee8bd8219b834dc89770")
+    assert sha1(train(synth_medium)) == "e4595ecadcf773bdc6391dc3d0dec62fd8aeb9ee"
     assert (sha1(train(synth_medium, NON_DEFAULT))
-            == "0147034afe08cad3b6239c81d5020089220f146c")
+            == "b84c38148854b4a6945dbda4acfb3c88b9f1e20c")

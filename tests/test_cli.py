@@ -3,9 +3,10 @@ import struct
 
 import pytest
 
-from conftest import (F1_PATH, chained_known_tree_model, column,
+from conftest import (F1_PATH, chained_known_tree_model,
                       count_lexical_entries, f1_model_with_lexicon,
-                      lexicon_columns, tree_header, with_crc)
+                      lexicon_columns, lexicon_section, text_table,
+                      tree_header, with_crc)
 from memtag.cli import main
 from memtag.corpus import read_corpus, write_corpus
 from memtag.errors import ModelFormatError
@@ -111,8 +112,8 @@ def test_tag_tree_default_out_of_range(model_path, tmp_path, capsys):
 def zero_count_model():
     """The f1 model with its first lexicon count set to 0, CRC recomputed."""
     words, n_tags, tag_ids, counts = lexicon_columns(train(read_corpus(F1_PATH)))
-    return f1_model_with_lexicon(b"".join(
-        map(column, (words, n_tags, tag_ids, [0, *counts[1:]]))))
+    return f1_model_with_lexicon(lexicon_section(
+        words, n_tags, tag_ids, [0, *counts[1:]]))
 
 
 def flipped_byte_model():
@@ -138,19 +139,24 @@ def test_tag_malformed_model_exits_3(data, message, tmp_path, capsys):
 
 
 def test_v1_model_rejected(tmp_path, capsys):
-    """A version 1 file is refused by its version, before its CRC is read,
-    with a message that says to retrain."""
-    # the v1 header, then the start of its interner table: "=" and "UNK-A"
-    v1 = b"MBT1" + struct.pack("<HII", 1, 2, 1) + b"=" + struct.pack("<I", 5)
-    v1 += b"UNK-A"
-    with pytest.raises(ModelFormatError, match="version 1 .*retrain"):
-        TaggerModel.from_bytes(v1)
-    bad = tmp_path / "v1.model"
-    bad.write_bytes(v1)
+    """Version 1 and 2 files are refused by their version, before the CRC
+    is read, with a message that says to retrain."""
+    # each header, then the start of that version's interner table: "=" and
+    # "UNK-A", as v1's count and length-prefixed texts, as v2's text list
+    old = {1: struct.pack("<II", 2, 1) + b"=" + struct.pack("<I", 5)
+           + b"UNK-A",
+           2: text_table(["=", "UNK-A"])}
     inp = tmp_path / "in.txt"
     inp.write_text("the cat .\n")
-    assert main(["tag", str(inp), "--model", str(bad)]) == 3
-    assert "version 1 " in capsys.readouterr().err
+    for version, interner in old.items():
+        data = b"MBT1" + struct.pack("<H", version) + interner
+        with pytest.raises(ModelFormatError,
+                           match=f"version {version} .*version 3.*retrain"):
+            TaggerModel.from_bytes(data)
+        bad = tmp_path / f"v{version}.model"
+        bad.write_bytes(data)
+        assert main(["tag", str(inp), "--model", str(bad)]) == 3
+        assert f"version {version} " in capsys.readouterr().err
 
 
 def test_eval_table_and_artifacts(model_path, tmp_path, capsys):

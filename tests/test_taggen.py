@@ -8,12 +8,12 @@ from conftest import (LEAF, PV_LEXICON, PV_SENTENCE, chained_known_tree_model,
                       column, config_offset, count_lexical_entries,
                       f1_model_with_known_nodes,
                       f1_model_with_lexicon, fingerprint, lexicon_columns,
-                      text_table, texts, with_crc)
+                      lexicon_section, text_table, texts, with_crc)
 from memtag.corpus import parse_corpus
 from memtag.errors import ModelFormatError, ParameterError
 from memtag.evaluation import evaluate
 from memtag.igtree import stats
-from memtag.interning import Interner
+from memtag.interning import BOUNDARY, UNKNOWN_MARK, Interner
 from memtag.taggen import (TaggerConfig, TaggerModel, _lexicon_tag,
                            build_lexicon, extract_known_cases,
                            extract_unknown_cases, is_number,
@@ -85,7 +85,6 @@ def lexicon_per_token(corpus, interner, threshold=0.10):
             by_tag[tid] = by_tag.get(tid, 0) + 1
     entries = {}
     for word, by_tag in counts.items():
-        interner.intern(word)
         surviving, joined = _lexicon_tag(by_tag, interner, threshold)
         entries[word] = (list(by_tag.items()), surviving,
                          interner.intern(joined))
@@ -468,51 +467,60 @@ def test_changed_content_fails_on_load(f1):
 
 
 def test_lexicon_checked_on_load(f1):
-    """Every lexicon id is a symbol, every count positive, no word or tag
-    repeats, the columns agree in length and have one width each, and a
-    recomputed lexicon tag is a symbol."""
+    """Every lexicon tag id is a symbol, every count positive, no word or
+    tag repeats, the word lengths add up to the word texts, the columns
+    agree in length and have one width each, and a recomputed lexicon tag
+    is a symbol."""
     model = train(f1)
     words, n_tags, tag_ids, counts = lexicon_columns(model)
     id_of = model.interner.id_of
     n_symbols = len(model.interner)
-    i = words.index(id_of("cat"))  # one tag: NN
+    i = words.index("cat")  # one tag: NN
     j = sum(n_tags[:i])  # cat's tag in the flattened columns
     assert n_tags[i] == 1 and tag_ids[j] == id_of("NN") and i > 0
-
-    def section(*columns):
-        return b"".join(map(column, columns))
 
     def cat_tags(ids):
         n = [*n_tags[:i], len(ids), *n_tags[i + 1:]]
         t = [*tag_ids[:j], *ids, *tag_ids[j + 1:]]
         c = [*counts[:j], *[1] * len(ids), *counts[j + 1:]]
-        return section(words, n, t, c)
+        return lexicon_section(words, n, t, c)
 
     def replaced(values, at, value):
         return [*values[:at], value, *values[at + 1:]]
 
-    good = f1_model_with_lexicon(section(words, n_tags, tag_ids, counts))
+    def columns(*values):
+        return b"".join(map(column, values))
+
+    good = f1_model_with_lexicon(
+        lexicon_section(words, n_tags, tag_ids, counts))
     assert good == model.to_bytes()
+    blob = "".join(words).encode("utf-8")
+    long_first = [len(words[0]) + 1, *map(len, words[1:])]
     nn, dt = id_of("NN"), id_of("DT")
     for bad_section, message in (
-            (section(words, n_tags, tag_ids, counts[:-1]),
+            (lexicon_section(words, n_tags, tag_ids, counts[:-1]),
              "column lengths disagree"),
-            (section(words[:-1], n_tags, tag_ids, counts),
+            (lexicon_section(words[:-1], n_tags, tag_ids, counts),
              "column lengths disagree"),
-            (section(replaced(words, i, n_symbols), n_tags, tag_ids, counts),
-             "word id is not a symbol"),
-            (section(words, n_tags, replaced(tag_ids, j, n_symbols), counts),
+            (lexicon_section(words, n_tags, replaced(tag_ids, j, n_symbols),
+                             counts),
              "tag id is not a symbol"),
-            (section(words, n_tags, tag_ids, replaced(counts, j, 0)),
+            (lexicon_section(words, n_tags, tag_ids, replaced(counts, j, 0)),
              "count of zero"),
             (cat_tags([]), "count of zero"),
-            (section(replaced(words, i, words[0]), n_tags, tag_ids, counts),
+            (lexicon_section(replaced(words, i, words[0]), n_tags, tag_ids,
+                             counts),
              "repeats a word"),
             (cat_tags([nn, nn]), "'cat' repeats a tag"),
             (cat_tags([nn, dt]), "'DT-NN' of 'cat' is not a symbol"),
-            (column(words, width=2) + section(n_tags, tag_ids, counts),
+            (column(long_first) + struct.pack("<I", len(blob)) + blob
+             + columns(n_tags, tag_ids, counts),
+             "text lengths do not add up"),
+            (text_table(words) + column(n_tags, width=2)
+             + columns(tag_ids, counts),
              "width 2 is wider than its values"),
-            (struct.pack("<BI", 3, 0) + section(n_tags, tag_ids, counts),
+            (text_table(words) + struct.pack("<BI", 3, 0)
+             + columns(tag_ids, counts),
              "width 3 is not 1, 2 or 4")):
         with pytest.raises(ModelFormatError, match=message):
             TaggerModel.from_bytes(f1_model_with_lexicon(bad_section))
@@ -544,6 +552,23 @@ ROUND_TRIP_CONFIGS = (TaggerConfig(),
                       TaggerConfig(threshold=0.02,
                                    closed_class_tags=frozenset({"DT", "IN"}),
                                    route_numbers_to_unknown=False))
+
+
+def test_interner_holds_feature_values_only(f1, synth_small):
+    """A trained model interns exactly the two markers, the corpus tags,
+    the lexicon tags and the letters of open-class tokens: no word."""
+    for corpus in (f1, synth_small):
+        for config in ROUND_TRIP_CONFIGS:
+            model = train(corpus, config)
+            text = model.interner.text
+            tokens = [token for sent in corpus.sentences for token in sent]
+            letters = {ch for word, tag in tokens if config.is_open_class(tag)
+                       for ch in word[0] + word[-3:]}
+            lexicon_tags = {text(e.ambiguous_tag)
+                            for e in model.lexicon.entries.values()}
+            assert set(model.interner) == ({BOUNDARY, UNKNOWN_MARK, *letters}
+                                           | {tag for _, tag in tokens}
+                                           | lexicon_tags)
 
 
 def test_synth_model_round_trip(synth_small):
