@@ -64,11 +64,13 @@ def cmd_tag(args: argparse.Namespace) -> int:
     _require_file(args.model)
     model = TaggerModel.load(args.model)
     if args.input is None:
-        lines = sys.stdin.read().splitlines()
+        data = sys.stdin.read()
     else:
         _require_file(args.input)
         with open(args.input, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+            data = fh.read()
+    # one sentence per "\n"-separated line, as in parse_corpus
+    lines = data.removesuffix("\n").split("\n")
     out_lines = []
     n_words = 0
     t0 = time.perf_counter()

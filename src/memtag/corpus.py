@@ -44,7 +44,9 @@ def parse_corpus(text: str) -> Corpus:
     # Token's own constructor is a Python-level function; tuple.__new__
     # builds the same Token without that call.
     new_tuple = tuple.__new__
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    # "\n" only: str.splitlines() also splits at form feeds, U+2028 and
+    # other separators that a user's text editor shows inside one line.
+    for line_no, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         sent: Sentence = []

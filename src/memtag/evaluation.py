@@ -22,9 +22,8 @@ from .errors import ParameterError
 from .igtree import build, prune
 from .interning import Interner
 from .metrics import information_gains
-from .taggen import (TaggerConfig, TaggerModel, build_lexicon,
-                     extract_known_cases, gold_known_windows,
-                     known_route_tags, train)
+from .taggen import (Lexicon, TaggerConfig, TaggerModel, build_lexicon,
+                     extract_known_cases, gold_known_windows, train)
 
 @dataclass
 class EvalReport:
@@ -174,13 +173,13 @@ def curve_tsv(points: list[LearningCurvePoint]) -> str:
 
 # -- algorithm comparison (tree vs. nearest-neighbor references) -----------
 
-def known_eval_queries(test: Corpus, lexicon, interner: Interner,
+def known_eval_queries(test: Corpus, lexicon: Lexicon, interner: Interner,
                        config: TaggerConfig) -> list[tuple[Vector, int]]:
     """(query, gold) pairs for every known-route test token, with gold left
     context: the training window, built without interning. Unseen gold tags
     map to NO_SYMBOL and can simply never be predicted."""
-    return list(gold_known_windows(test, lexicon, known_route_tags(
-        lexicon.lexicon_tags(), config), interner, strict=False))
+    return list(gold_known_windows(test, lexicon, interner, config,
+                                   strict=False))
 
 
 def _cached_accuracy(classify, queries: list[tuple[Vector, int]]) -> float:

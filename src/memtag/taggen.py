@@ -34,6 +34,7 @@ import zlib
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate, chain
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -81,6 +82,11 @@ class TaggerConfig:
     closed_class_tags: frozenset[str] | None = None
     route_numbers_to_unknown: bool = True
 
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.threshold <= 1.0:  # also false for NaN
+            raise ParameterError(
+                f"threshold must be in [0, 1], got {self.threshold}")
+
     def is_open_class(self, tag: str) -> bool:
         if self.closed_class_tags is not None:
             return tag not in self.closed_class_tags
@@ -95,45 +101,46 @@ class LexicalEntry:
     surviving_tags: tuple[int, ...]
     ambiguous_tag: int
 
-    @property
-    def total(self) -> int:
-        return sum(self.tag_counts.values())
-
-    @property
-    def is_ambiguous(self) -> bool:
-        return len(self.surviving_tags) > 1
-
 
 @dataclass
 class Lexicon:
-    entries: dict[str, LexicalEntry] = field(default_factory=dict)
+    """Per word, in first-occurrence order: its lexicon tag (`tags`), and
+    the three columns the model file stores: the word's tag count, then
+    every word's tag ids and the counts of those tags. `surviving` holds
+    the surviving tags of each multi-tag word; a single-tag word's one tag
+    survives whatever the threshold. Made by `_lexicon_from_columns`.
 
-    @property
-    def total_tokens(self) -> int:
-        return sum(e.total for e in self.entries.values())
+    `entries` and the routing maps are built on first use; a concurrent
+    first use builds an equal one.
+    """
 
-    @property
-    def type_count(self) -> int:
-        return len(self.entries)
+    tags: dict[str, int]
+    n_tags: list[int]
+    tag_ids: list[int]
+    counts: list[int]
+    surviving: dict[str, tuple[int, ...]]
+    _routes: dict[bool, dict[str, int]] = field(
+        default_factory=dict, compare=False, repr=False)
 
-    def lexicon_tags(self) -> Iterator[tuple[str, int]]:
-        """(word, lexicon tag) per entry, in entry order."""
-        return ((word, e.ambiguous_tag) for word, e in self.entries.items())
+    @cached_property
+    def entries(self) -> dict[str, LexicalEntry]:
+        entries = {}
+        starts = accumulate(self.n_tags, initial=0)
+        for (word, tag), start, n in zip(self.tags.items(), starts,
+                                         self.n_tags):
+            end = start + n
+            entries[word] = LexicalEntry(
+                dict(zip(self.tag_ids[start:end], self.counts[start:end])),
+                self.surviving.get(word, (tag,)), tag)
+        return entries
 
-    @property
-    def ambiguous_type_count(self) -> int:
-        return sum(1 for e in self.entries.values() if e.is_ambiguous)
-
-    @property
-    def ambiguous_type_fraction(self) -> float:
-        return self.ambiguous_type_count / self.type_count if self.entries else 0.0
-
-    @property
-    def ambiguous_token_fraction(self) -> float:
-        if not self.total_tokens:
-            return 0.0
-        amb = sum(e.total for e in self.entries.values() if e.is_ambiguous)
-        return amb / self.total_tokens
+    def known_tags(self, config: TaggerConfig) -> dict[str, int]:
+        """The routing map, `known_route_tags` of this lexicon, built once
+        per `route_numbers_to_unknown` setting."""
+        key = config.route_numbers_to_unknown
+        if key not in self._routes:
+            self._routes[key] = known_route_tags(self.tags.items(), config)
+        return self._routes[key]
 
 
 def _lexicon_tag(counts: dict[int, int], interner: Interner,
@@ -151,9 +158,31 @@ def _lexicon_tag(counts: dict[int, int], interner: Interner,
     return tuple(keep), "-".join(map(text, keep))
 
 
-def _single_tag_entry(tag: int, count: int) -> LexicalEntry:
-    """A word's only tag survives whatever the threshold: its lexicon tag."""
-    return LexicalEntry({tag: count}, (tag,), tag)
+def _lexicon_from_columns(words: list[str], n_tags: list[int],
+                          tag_ids: list[int], counts: list[int],
+                          interner: Interner, symbol: Callable[[str], int],
+                          threshold: float) -> Lexicon:
+    """The Lexicon of these words and columns. A single-tag word's lexicon
+    tag is its one tag; a multi-tag word's is `symbol` (`interner.intern`
+    or `interner.id_of`) of the text `_lexicon_tag` joins. The checks fail
+    only on a model file's columns."""
+    starts = list(accumulate(n_tags, initial=0))
+    tags = dict(zip(words, map(tag_ids.__getitem__, starts[:-1])))
+    if len(tags) != len(words):
+        raise ModelFormatError("lexicon repeats a word")
+    surviving = {}
+    for word, start, n in zip(words, starts, n_tags):
+        if n == 1:
+            continue
+        by_tag = dict(zip(tag_ids[start:start + n], counts[start:start + n]))
+        if len(by_tag) != n:
+            raise ModelFormatError(f"lexicon word {word!r} repeats a tag")
+        surviving[word], joined = _lexicon_tag(by_tag, interner, threshold)
+        tag = tags[word] = symbol(joined)
+        if tag == NO_SYMBOL:
+            raise ModelFormatError(
+                f"lexicon tag {joined!r} of {word!r} is not a symbol")
+    return Lexicon(tags, n_tags, tag_ids, counts, surviving)
 
 
 def build_lexicon(corpus: Corpus, interner: Interner,
@@ -177,16 +206,15 @@ def lexicon_from_tag_counts(
         threshold: float = 0.10) -> Lexicon:
     """Build a lexicon from explicit per-word tag counts (for a corpus,
     hand-built fixtures and external lexical resources)."""
-    lexicon = Lexicon()
-    for word, by_tag in word_tag_counts.items():
-        counts = {interner.intern(t): n for t, n in by_tag.items()}
-        if len(counts) == 1:
-            entry = _single_tag_entry(*counts.popitem())
-        else:
-            surviving, joined = _lexicon_tag(counts, interner, threshold)
-            entry = LexicalEntry(counts, surviving, interner.intern(joined))
-        lexicon.entries[word] = entry
-    return lexicon
+    n_tags: list[int] = []
+    tag_ids: list[int] = []
+    counts: list[int] = []
+    for by_tag in word_tag_counts.values():
+        n_tags.append(len(by_tag))
+        tag_ids += map(interner.intern, by_tag)
+        counts += by_tag.values()
+    return _lexicon_from_columns(list(word_tag_counts), n_tags, tag_ids,
+                                 counts, interner, interner.intern, threshold)
 
 
 def known_route_tags(lexicon_tags: Iterable[tuple[str, int]],
@@ -212,18 +240,18 @@ def _route(words: Sequence[str], known_tags: dict[str, int],
     return focus, right
 
 
-def gold_known_windows(corpus: Corpus, lexicon: Lexicon,
-                       known_tags: dict[str, int], interner: Interner,
-                       strict: bool) -> Iterator[tuple[Vector, int]]:
-    """(d-2, d-1, f, a+1) -> gold tag for every token that the routing map
-    `known_tags` routes known, the d slots holding the left gold tags.
+def gold_known_windows(corpus: Corpus, lexicon: Lexicon, interner: Interner,
+                       config: TaggerConfig, strict: bool
+                       ) -> Iterator[tuple[Vector, int]]:
+    """(d-2, d-1, f, a+1) -> gold tag for every token that the lexicon's
+    routing map routes known, the d slots holding the left gold tags.
 
     In strict mode (training) gold tags are interned and every word must be
     in the lexicon. Otherwise (scoring held-out text) nothing is interned:
     unseen gold tags map to NO_SYMBOL and unseen words take the unknown
     route.
     """
-    entries = lexicon.entries
+    known_tags, lexicon_words = lexicon.known_tags(config), lexicon.tags
     boundary = interner.boundary
     for sent in filter(None, corpus.sentences):  # zip(*sent) needs a token
         words, tags = zip(*sent)
@@ -234,7 +262,7 @@ def gold_known_windows(corpus: Corpus, lexicon: Lexicon,
         for word, f, a, g in zip(words, focus, right, gold):
             if f is not None:
                 yield (d2, d1, f, a), g
-            elif strict and word not in entries:
+            elif strict and word not in lexicon_words:
                 raise StructureError(f"word {word!r} not in lexicon")
             d2, d1 = d1, g
 
@@ -249,9 +277,8 @@ def extract_known_cases(corpus: Corpus, lexicon: Lexicon, interner: Interner,
     to the unknown-word base (numbers, when that routing is on) contribute
     no case. Every corpus word must be in the lexicon.
     """
-    known_tags = known_route_tags(lexicon.lexicon_tags(), config)
     return CaseBase(KNOWN_ARITY, interner, gold_known_windows(
-        corpus, lexicon, known_tags, interner, strict=True))
+        corpus, lexicon, interner, config, strict=True))
 
 
 def _letter_slots(word: str, interner: Interner, strict: bool) -> tuple[int, int, int, int]:
@@ -273,15 +300,13 @@ def extract_unknown_cases(corpus: Corpus, lexicon: Lexicon, interner: Interner,
     token, with a+1 built as for the known cases. Letters come from the raw
     form, case-sensitive: the first letter carries prefix and capitalization
     information. Every corpus word must be in the lexicon."""
-    known_tags = known_route_tags(lexicon.lexicon_tags(), config)
     return CaseBase(UNKNOWN_ARITY, interner, _unknown_windows(
-        corpus, lexicon, known_tags, interner, config))
+        corpus, lexicon, interner, config))
 
 
-def _unknown_windows(corpus: Corpus, lexicon: Lexicon,
-                     known_tags: dict[str, int], interner: Interner,
+def _unknown_windows(corpus: Corpus, lexicon: Lexicon, interner: Interner,
                      config: TaggerConfig) -> Iterator[tuple[Vector, int]]:
-    entries = lexicon.entries
+    known_tags, lexicon_words = lexicon.known_tags(config), lexicon.tags
     open_class: dict[str, bool] = {}  # is_open_class per distinct tag
     letters: dict[str, tuple[int, int, int, int]] = {}  # per word type
     for sent in filter(None, corpus.sentences):  # zip(*sent) needs a token
@@ -290,7 +315,7 @@ def _unknown_windows(corpus: Corpus, lexicon: Lexicon,
         focus, right = _route(words, known_tags, interner)
         d1 = interner.boundary
         for word, tag, f, a, g in zip(words, tags, focus, right, gold):
-            if f is None and word not in entries:
+            if f is None and word not in lexicon_words:
                 raise StructureError(f"word {word!r} not in lexicon")
             is_open = open_class.get(tag)
             if is_open is None:
@@ -332,45 +357,31 @@ class Explanation:
 class TaggerModel:
     """Lexicon + two tries + weights + config, sharing one interner.
 
-    Routing is resolved once per lexicon word (`known_route_tags`, or the
-    map `train` or the loader built as `known_tags`), so tagging a token
-    costs one dict lookup, never runs the numeral test and never reads the
-    lexicon. The loader passes a function that builds the lexicon as
-    `lexicon`. Immutable after training or loading, apart from that first
-    build, so one model can serve concurrent tagging calls; the sequential
-    dependency is within a sentence only.
+    Routing is resolved once per lexicon word (the lexicon's routing map),
+    so tagging a token costs one dict lookup, never runs the numeral test
+    and never reads the lexicon's entries. Immutable after training or
+    loading, apart from the lexicon's first builds, so one model can serve
+    concurrent tagging calls; the sequential dependency is within a
+    sentence only.
     """
 
-    __slots__ = ("interner", "_lexicon", "config", "known_weights",
+    __slots__ = ("interner", "lexicon", "config", "known_weights",
                  "unknown_weights", "known_tree", "unknown_tree",
                  "fallback_tag", "_known_tags")
 
-    def __init__(self, interner: Interner,
-                 lexicon: Lexicon | Callable[[], Lexicon],
+    def __init__(self, interner: Interner, lexicon: Lexicon,
                  config: TaggerConfig, known_weights: FeatureWeights,
                  unknown_weights: FeatureWeights, known_tree: IGTree | None,
-                 unknown_tree: IGTree | None, fallback_tag: int,
-                 known_tags: dict[str, int] | None = None):
+                 unknown_tree: IGTree | None, fallback_tag: int):
         self.interner = interner
-        self._lexicon = lexicon
+        self.lexicon = lexicon
         self.config = config
         self.known_weights = known_weights
         self.unknown_weights = unknown_weights
         self.known_tree = known_tree
         self.unknown_tree = unknown_tree
         self.fallback_tag = fallback_tag
-        if known_tags is None:
-            known_tags = known_route_tags(self.lexicon.lexicon_tags(), config)
-        self._known_tags = known_tags
-
-    @property
-    def lexicon(self) -> Lexicon:
-        """The lexicon, built here on first read if `lexicon` was a
-        function. A concurrent first read builds an equal one."""
-        lexicon = self._lexicon
-        if not isinstance(lexicon, Lexicon):
-            lexicon = self._lexicon = lexicon()
-        return lexicon
+        self._known_tags = lexicon.known_tags(config)
 
     # -- tagging ---------------------------------------------------------
 
@@ -455,11 +466,15 @@ class TaggerModel:
 
     def summary(self) -> str:
         lex = self.lexicon
+        starts = accumulate(lex.n_tags, initial=0)
+        ambiguous = [sum(lex.counts[start:start + n]) for word, start, n
+                     in zip(lex.tags, starts, lex.n_tags)
+                     if len(lex.surviving.get(word, ())) > 1]  # token counts
+        types, tokens = max(len(lex.tags), 1), max(sum(lex.counts), 1)
         lines = [
-            f"lexicon: {lex.type_count} word types, "
-            f"{lex.ambiguous_type_count} "
-            f"({100.0 * lex.ambiguous_type_fraction:.1f}%) ambiguous",
-            f"ambiguous tokens: {100.0 * lex.ambiguous_token_fraction:.1f}%",
+            f"lexicon: {len(lex.tags)} word types, {len(ambiguous)} "
+            f"({100.0 * len(ambiguous) / types:.1f}%) ambiguous",
+            f"ambiguous tokens: {100.0 * sum(ambiguous) / tokens:.1f}%",
         ]
         for name, tree in (("known", self.known_tree),
                            ("unknown", self.unknown_tree)):
@@ -500,11 +515,8 @@ def train(corpus: Corpus, config: TaggerConfig = TaggerConfig()) -> TaggerModel:
         raise ParameterError("cannot train on an empty corpus")
     interner = Interner()
     lexicon = build_lexicon(corpus, interner, config.threshold)
-    known_tags = known_route_tags(lexicon.lexicon_tags(), config)
-    known = CaseBase(KNOWN_ARITY, interner, gold_known_windows(
-        corpus, lexicon, known_tags, interner, strict=True))
-    unknown = CaseBase(UNKNOWN_ARITY, interner, _unknown_windows(
-        corpus, lexicon, known_tags, interner, config))
+    known = extract_known_cases(corpus, lexicon, interner, config)
+    unknown = extract_unknown_cases(corpus, lexicon, interner, config)
 
     known_weights = information_gains(known) if known else (0.0,) * KNOWN_ARITY
     unknown_weights = (information_gains(unknown) if unknown
@@ -514,14 +526,12 @@ def train(corpus: Corpus, config: TaggerConfig = TaggerConfig()) -> TaggerModel:
 
     # The lexicon has counted every token's tag once already.
     tag_totals: dict[int, int] = {}
-    for entry in lexicon.entries.values():
-        for tag, n in entry.tag_counts.items():
-            tag_totals[tag] = tag_totals.get(tag, 0) + n
+    for tag, n in zip(lexicon.tag_ids, lexicon.counts):
+        tag_totals[tag] = tag_totals.get(tag, 0) + n
     fallback = majority_class(tag_totals, interner)
 
     return TaggerModel(interner, lexicon, config, known_weights,
-                       unknown_weights, known_tree, unknown_tree, fallback,
-                       known_tags)
+                       unknown_weights, known_tree, unknown_tree, fallback)
 
 
 # -- model file -------------------------------------------------------------
@@ -593,16 +603,11 @@ def _write_model(model: TaggerModel) -> bytes:
                         model.fallback_tag, closed is not None)
     if closed is not None:
         out += _texts(sorted(closed))
-    entries = model.lexicon.entries
-    tag_ids: list[int] = []
-    counts: list[int] = []
-    for entry in entries.values():
-        tag_ids += entry.tag_counts
-        counts += entry.tag_counts.values()
-    out += _texts(list(entries))
-    out += _column([len(e.tag_counts) for e in entries.values()])
-    out += _column(tag_ids)
-    out += _column(counts)
+    lexicon = model.lexicon
+    out += _texts(list(lexicon.tags))
+    out += _column(lexicon.n_tags)
+    out += _column(lexicon.tag_ids)
+    out += _column(lexicon.counts)
     for weights in (model.known_weights, model.unknown_weights):
         out += _U32.pack(len(weights))
         out += struct.pack(f"<{len(weights)}d", *weights)
@@ -661,13 +666,10 @@ def _read_texts(buf: bytes, off: int) -> tuple[list[str], int]:
 
 
 def _read_lexicon(buf: bytes, off: int, interner: Interner,
-                  config: TaggerConfig
-                  ) -> tuple[dict[str, int], Callable[[], Lexicon], int]:
-    """The lexicon's words and three columns, checked in full. Returns the
-    routing map (`known_route_tags` of each word's lexicon tag, recomputed
-    as `lexicon_from_tag_counts` computes it, interning nothing) and a
-    function that builds the Lexicon from the kept columns, which cannot
-    fail."""
+                  threshold: float) -> tuple[Lexicon, int]:
+    """The lexicon's words and three columns, checked in full; each lexicon
+    tag is recomputed as `lexicon_from_tag_counts` computes it, interning
+    nothing."""
     words, off = _read_texts(buf, off)
     n_tags, off = _read_column(buf, off)
     tag_ids, off = _read_column(buf, off)
@@ -679,41 +681,9 @@ def _read_lexicon(buf: bytes, off: int, interner: Interner,
         raise ModelFormatError("lexicon tag id is not a symbol")
     if 0 in n_tags or 0 in counts:
         raise ModelFormatError("lexicon count of zero")
-    starts = list(accumulate(n_tags, initial=0))
-    # each word's first tag: the lexicon tag of a single-tag word
-    lexicon_tags = list(map(tag_ids.__getitem__, starts[:-1]))
-    ambiguous: dict[str, tuple[tuple[int, ...], int]] = {}  # multi-tag words
-    for i, n in enumerate(n_tags):
-        if n == 1:
-            continue
-        word, start, end = words[i], starts[i], starts[i + 1]
-        by_tag = dict(zip(tag_ids[start:end], counts[start:end]))
-        if len(by_tag) != n:
-            raise ModelFormatError(f"lexicon word {word!r} repeats a tag")
-        surviving, joined = _lexicon_tag(by_tag, interner, config.threshold)
-        amb = lexicon_tags[i] = interner.id_of(joined)
-        if amb == NO_SYMBOL:
-            raise ModelFormatError(
-                f"lexicon tag {joined!r} of {word!r} is not a symbol")
-        ambiguous[word] = surviving, amb
-    if len(set(words)) != len(words):
-        raise ModelFormatError("lexicon repeats a word")
-
-    def build() -> Lexicon:
-        entries: dict[str, LexicalEntry] = {}
-        start = 0
-        for word, n in zip(words, n_tags):
-            if n == 1:
-                entries[word] = _single_tag_entry(tag_ids[start], counts[start])
-            else:
-                end = start + n
-                entries[word] = LexicalEntry(
-                    dict(zip(tag_ids[start:end], counts[start:end])),
-                    *ambiguous[word])
-            start += n
-        return Lexicon(entries)
-
-    return known_route_tags(zip(words, lexicon_tags), config), build, off
+    return _lexicon_from_columns(
+        words, n_tags.tolist(), tag_ids.tolist(), counts.tolist(), interner,
+        interner.id_of, threshold), off
 
 
 def _read_node(buf: bytes, off: int, depth_left: int, n_symbols: int
@@ -791,7 +761,7 @@ def _read_model(buf: bytes) -> TaggerModel:
                     "closed-class tags are not sorted and distinct")
             closed = frozenset(tags)
         config = TaggerConfig(threshold, closed, _flag(route_numbers))
-        known_tags, lexicon, off = _read_lexicon(body, off, interner, config)
+        lexicon, off = _read_lexicon(body, off, interner, threshold)
         weights = []
         for arity in (KNOWN_ARITY, UNKNOWN_ARITY):
             (n,) = _U32.unpack_from(body, off)
@@ -804,9 +774,10 @@ def _read_model(buf: bytes) -> TaggerModel:
     except ModelFormatError:
         raise
     except (struct.error, IndexError, ValueError) as exc:
-        # ValueError covers bad UTF-8 and Interner.from_table's checks
+        # ValueError covers bad UTF-8, Interner.from_table's checks and
+        # TaggerConfig's threshold check (a ParameterError)
         raise ModelFormatError(f"corrupt model file: {exc}") from exc
     if off != len(body):
         raise ModelFormatError(f"{len(body) - off} trailing bytes")
     return TaggerModel(interner, lexicon, config, weights[0], weights[1],
-                       known_tree, unknown_tree, fallback, known_tags)
+                       known_tree, unknown_tree, fallback)

@@ -11,6 +11,7 @@ from memtag.corpus import read_corpus
 from memtag.igtree import stats
 from memtag.interning import Interner
 from memtag.synth import SynthConfig, synth_corpus
+from memtag import taggen
 from memtag.taggen import LexicalEntry, train
 
 settings.register_profile(
@@ -58,6 +59,20 @@ def count_lexical_entries(monkeypatch):
 
     monkeypatch.setattr(LexicalEntry, "__init__", counting_init)
     return built
+
+
+def count_known_route_tags(monkeypatch):
+    """A list that grows by one for every known_route_tags call (one
+    routing map built) from now on, until the monkeypatch is undone."""
+    calls = []
+    route = taggen.known_route_tags
+
+    def counting_route(*args):
+        calls.append(args)
+        return route(*args)
+
+    monkeypatch.setattr(taggen, "known_route_tags", counting_route)
+    return calls
 
 
 def tree_header(tree):

@@ -9,7 +9,7 @@ from memtag.ib import classify_ib1
 from memtag.interning import Interner
 from memtag.taggen import (TaggerConfig, _unknown_windows, build_lexicon,
                            extract_known_cases, extract_unknown_cases,
-                           gold_known_windows, known_route_tags)
+                           gold_known_windows)
 
 
 @pytest.fixture
@@ -125,12 +125,11 @@ def test_add_many_matches_per_case_order_on_corpora(f1, synth_small):
     for corpus in (f1, synth_small):
         interner = Interner()
         lexicon = build_lexicon(corpus, interner)
-        known_tags = known_route_tags(lexicon.lexicon_tags(), config)
         for extract, windows in (
                 (extract_known_cases, lambda: gold_known_windows(
-                    corpus, lexicon, known_tags, interner, strict=True)),
+                    corpus, lexicon, interner, config, strict=True)),
                 (extract_unknown_cases, lambda: _unknown_windows(
-                    corpus, lexicon, known_tags, interner, config))):
+                    corpus, lexicon, interner, config))):
             base = extract(corpus, lexicon, interner, config)
             reference = CaseBase(base.arity, interner)
             add_one_by_one(reference, windows())

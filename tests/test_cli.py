@@ -3,7 +3,7 @@ import struct
 
 import pytest
 
-from conftest import (F1_PATH, chained_known_tree_model,
+from conftest import (F1_PATH, chained_known_tree_model, config_offset,
                       count_lexical_entries, f1_model_with_lexicon,
                       lexicon_columns, lexicon_section, text_table,
                       tree_header, with_crc)
@@ -57,6 +57,18 @@ def test_tag_round_trip(model_path, tmp_path, capsys):
     assert out[1] == "a/DT saw/NN cuts/VBZ the/DT wood/NN ./."
 
 
+def test_tag_splits_lines_at_newline_only(model_path, tmp_path, capsys):
+    """A U+2028 inside a line separates words, not sentences: two input
+    lines give two output lines."""
+    inp = tmp_path / "in.txt"
+    inp.write_text("the cat\u2028saw the saw .\na saw cuts the wood .\n",
+                   encoding="utf-8")
+    assert main(["tag", str(inp), "--model", model_path]) == 0
+    assert capsys.readouterr().out.split("\n") == [
+        "the/DT cat/NN saw/VBD the/DT saw/NN ./.",
+        "a/DT saw/NN cuts/VBZ the/DT wood/NN ./.", ""]
+
+
 def test_tag_empty_input(model_path, tmp_path, capsys):
     inp = tmp_path / "empty.txt"
     inp.write_text("")
@@ -89,6 +101,33 @@ def test_tag_model_version_mismatch(model_path, tmp_path, capsys):
     inp.write_text("the cat .\n")
     assert main(["tag", str(inp), "--model", str(bad)]) == 3
     assert "model version 77 " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threshold", ["7", "nan", "-0.5"])
+def test_train_rejects_threshold_outside_unit_interval(threshold, tmp_path,
+                                                       capsys):
+    path = tmp_path / "m.mbt"
+    assert main(["train", F1_PATH, "--model", str(path),
+                 "--threshold", threshold]) == 2
+    assert "threshold must be in [0, 1]" in capsys.readouterr().err
+    assert not path.exists()
+
+
+def test_tag_model_threshold_out_of_range(model_path, tmp_path, capsys):
+    model = TaggerModel.load(model_path)
+    data = model.to_bytes()
+    at = config_offset(model)
+    assert struct.unpack_from("<d", data, at) == (model.config.threshold,)
+    inp = tmp_path / "in.txt"
+    inp.write_text("the cat .\n")
+    bad = tmp_path / "bad.model"
+    for value in (7.0, float("nan")):
+        patched = with_crc(data[:at] + struct.pack("<d", value) + data[at + 8:])
+        with pytest.raises(ModelFormatError, match="threshold must be in"):
+            TaggerModel.from_bytes(patched)
+        bad.write_bytes(patched)
+        assert main(["tag", str(inp), "--model", str(bad)]) == 3
+        assert "threshold must be in [0, 1]" in capsys.readouterr().err
 
 
 def test_tag_tree_default_out_of_range(model_path, tmp_path, capsys):

@@ -57,6 +57,16 @@ def test_parse_builds_tokens_and_names_each_fault():
         assert str(exc.value) == message
 
 
+def test_lines_split_at_newline_only():
+    """A form feed inside a line separates tokens, not sentences, and line
+    numbers count newlines only."""
+    c = parse_corpus("a/X\x0cb/Y")
+    assert c.sentences == [[Token("a", "X"), Token("b", "Y")]]
+    with pytest.raises(CorpusParseError, match="line 2: token 'bad'") as exc:
+        parse_corpus("a/X\x0cb/Y\nbad")
+    assert exc.value.line_no == 2
+
+
 def test_blank_lines_skipped():
     c = parse_corpus("a/A b/B\n\nc/C\n")
     assert len(c) == 2

@@ -9,8 +9,8 @@ from memtag.ib import classify_ib1ig
 from memtag.igtree import build, feature_order, prune, stats
 from memtag.interning import Interner
 from memtag.metrics import information_gains
-from memtag.taggen import (Lexicon, TaggerConfig, TaggerModel, build_lexicon,
-                           extract_known_cases)
+from memtag.taggen import (TaggerConfig, TaggerModel, build_lexicon,
+                           extract_known_cases, lexicon_from_tag_counts)
 
 
 def make_base(rows, arity):
@@ -246,7 +246,8 @@ def test_tree_bytes_round_trip():
     for arity, seed in ((4, 6), (6, 8)):
         base = random_base(seed, arity=arity, interner=interner)
         trees.append(prune(build(base, information_gains(base))))
-    model = TaggerModel(interner, Lexicon(), TaggerConfig(), (0.0,) * 4,
+    model = TaggerModel(interner, lexicon_from_tag_counts({}, interner),
+                        TaggerConfig(), (0.0,) * 4,
                         (0.0,) * 6, trees[0], trees[1], 0)
     data = model.to_bytes()
     loaded = TaggerModel.from_bytes(data)

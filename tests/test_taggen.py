@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (LEAF, PV_LEXICON, PV_SENTENCE, chained_known_tree_model,
-                      column, config_offset, count_lexical_entries,
+                      column, config_offset, count_known_route_tags,
+                      count_lexical_entries,
                       f1_model_with_known_nodes,
                       f1_model_with_lexicon, fingerprint, lexicon_columns,
                       lexicon_section, text_table, texts, with_crc)
-from memtag.corpus import parse_corpus
+from memtag.corpus import Corpus, parse_corpus
 from memtag.errors import ModelFormatError, ParameterError
-from memtag.evaluation import evaluate
+from memtag.evaluation import compare_algorithms, evaluate
 from memtag.igtree import stats
 from memtag.interning import BOUNDARY, UNKNOWN_MARK, Interner
 from memtag.taggen import (TaggerConfig, TaggerModel, _lexicon_tag,
@@ -44,7 +45,7 @@ def test_lexicon_threshold_drops_rare_tag():
     interner = Interner()
     lex = build_lexicon(corpus, interner)
     assert interner.text(lex.entries["below"].ambiguous_tag) == "IN"
-    assert not lex.entries["below"].is_ambiguous
+    assert lex.entries["below"].surviving_tags == (interner.id_of("IN"),)
 
 
 def test_lexicon_frequency_order_matters():
@@ -59,11 +60,19 @@ def test_lexicon_f1_saw_tie(f1):
     lex = build_lexicon(f1, interner)
     saw = lex.entries["saw"]
     assert interner.text(saw.ambiguous_tag) == "NN-VBD"
-    assert saw.is_ambiguous
-    assert lex.type_count == 8
-    assert lex.ambiguous_type_count == 1
-    assert lex.ambiguous_type_fraction == pytest.approx(1 / 8)
-    assert lex.ambiguous_token_fraction == pytest.approx(4 / 18)
+    assert texts(interner, saw.surviving_tags) == ("NN", "VBD")
+    # 8 word types, "saw" the one ambiguous type: 4 of the 18 tokens
+    assert train(f1).summary().splitlines()[:2] == [
+        "lexicon: 8 word types, 1 (12.5%) ambiguous",
+        "ambiguous tokens: 22.2%"]
+
+
+def test_threshold_must_lie_in_unit_interval():
+    for threshold in (0.0, 0.10, 1.0):
+        assert TaggerConfig(threshold=threshold).threshold == threshold
+    for threshold in (-0.01, 1.5, 7.0, float("nan"), float("inf")):
+        with pytest.raises(ParameterError, match=r"threshold must be in \[0, 1\]"):
+            TaggerConfig(threshold=threshold)
 
 
 def test_lexicon_keeps_most_frequent_even_below_threshold():
@@ -580,7 +589,8 @@ def test_synth_model_round_trip(synth_small):
         loaded = TaggerModel.from_bytes(blob)
         assert loaded.to_bytes() == blob
         assert loaded.lexicon == model.lexicon
-        assert sum(e.is_ambiguous for e in model.lexicon.entries.values()) > 10
+        assert sum(len(e.surviving_tags) > 1
+                   for e in model.lexicon.entries.values()) > 10
         assert list(loaded.interner) == list(model.interner)
         assert loaded.config == model.config == config
         assert loaded.fallback_tag == model.fallback_tag
@@ -595,8 +605,8 @@ def test_load_and_tag_build_no_lexicon_entries(synth_small, monkeypatch):
     """A load routes from the lexicon columns: loading, tagging, explaining
     and evaluating held-out text (unseen words and numerals included) build
     no LexicalEntry and answer as the trained model does. The first read of
-    `.lexicon` builds the entries, and the loaded routing map is
-    known_route_tags of that lexicon."""
+    `.lexicon.entries` builds the entries, and the loaded routing map is
+    known_route_tags of their lexicon tags."""
     held_out = synth_corpus(SynthConfig(n_tokens=3000, seed=12))
     held_out.sentences.append(parse_corpus(
         "the/DT blorft/NN 61/CD 12,345.6/CD ./.").sentences[0])
@@ -612,7 +622,7 @@ def test_load_and_tag_build_no_lexicon_entries(synth_small, monkeypatch):
             assert records == model.tag_records(words)
             assert loaded.tag(words) == model.tag(words)
             routes.update((r.route, is_number(r.word),
-                           r.word in model.lexicon.entries) for r in records)
+                           r.word in model.lexicon.tags) for r in records)
         assert loaded.explain(sentences[-1], 2) == model.explain(
             sentences[-1], 2)
         got, want = evaluate(loaded, held_out), evaluate(model, held_out)
@@ -624,19 +634,36 @@ def test_load_and_tag_build_no_lexicon_entries(synth_small, monkeypatch):
         assert ("unknown", True, False) in routes  # an unseen numeral
         assert ("unknown", False, False) in routes  # an unseen word
         assert loaded._known_tags == known_route_tags(
-            loaded.lexicon.lexicon_tags(), config)
-        assert len(built) == len(model.lexicon.entries)
+            ((word, e.ambiguous_tag)
+             for word, e in loaded.lexicon.entries.items()), config)
+        assert len(built) == len(model.lexicon.tags)
         monkeypatch.undo()
+
+
+def test_trained_and_loaded_lexicons_build_no_entries(synth_small,
+                                                      monkeypatch):
+    """Training and saving, loading and saving, and an algorithm comparison
+    build no LexicalEntry, and each builds its routing map exactly once.
+    Neither does summary()."""
+    built = count_lexical_entries(monkeypatch)
+    calls = count_known_route_tags(monkeypatch)
+    model = train(synth_small)
+    data = model.to_bytes()
+    assert (len(built), len(calls)) == (0, 1)
+    loaded = TaggerModel.from_bytes(data)
+    assert loaded.to_bytes() == data
+    assert loaded.summary() == model.summary()
+    assert (len(built), len(calls)) == (0, 2)
+    compare_algorithms(Corpus(synth_small.sentences[:300]),
+                       Corpus(synth_small.sentences[300:360]))
+    assert (len(built), len(calls)) == (0, 3)
 
 
 def test_all_numeral_lexicon_builds_its_routing_map_once(monkeypatch):
     """With every lexicon word a numeral routed unknown, the routing map is
     empty. Training builds it once, and a load builds no entries."""
     corpus = parse_corpus("12/CD 3,400/CD\n5.5/CD 77/CD -2/CD")
-    calls = []
-    route = known_route_tags
-    monkeypatch.setattr("memtag.taggen.known_route_tags",
-                        lambda *args: calls.append(args) or route(*args))
+    calls = count_known_route_tags(monkeypatch)
     model = train(corpus)
     assert len(calls) == 1 and model.known_tree is None
     built = count_lexical_entries(monkeypatch)
