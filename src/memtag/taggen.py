@@ -120,7 +120,7 @@ class Lexicon:
     counts: list[int]
     surviving: dict[str, tuple[int, ...]]
     _routes: dict[bool, dict[str, int]] = field(
-        default_factory=dict, compare=False, repr=False)
+        init=False, default_factory=dict, compare=False, repr=False)
 
     @cached_property
     def entries(self) -> dict[str, LexicalEntry]:
@@ -209,7 +209,9 @@ def lexicon_from_tag_counts(
     n_tags: list[int] = []
     tag_ids: list[int] = []
     counts: list[int] = []
-    for by_tag in word_tag_counts.values():
+    for word, by_tag in word_tag_counts.items():
+        if not by_tag or min(by_tag.values()) < 1:
+            raise ParameterError(f"word {word!r} needs tag counts, each >= 1")
         n_tags.append(len(by_tag))
         tag_ids += map(interner.intern, by_tag)
         counts += by_tag.values()
@@ -381,6 +383,7 @@ class TaggerModel:
         self.known_tree = known_tree
         self.unknown_tree = unknown_tree
         self.fallback_tag = fallback_tag
+        # Saves _walk, run per sentence, a lexicon.known_tags call.
         self._known_tags = lexicon.known_tags(config)
 
     # -- tagging ---------------------------------------------------------

@@ -15,7 +15,7 @@ from memtag.errors import ModelFormatError, ParameterError
 from memtag.evaluation import compare_algorithms, evaluate
 from memtag.igtree import stats
 from memtag.interning import BOUNDARY, UNKNOWN_MARK, Interner
-from memtag.taggen import (TaggerConfig, TaggerModel, _lexicon_tag,
+from memtag.taggen import (Lexicon, TaggerConfig, TaggerModel, _lexicon_tag,
                            build_lexicon, extract_known_cases,
                            extract_unknown_cases, is_number,
                            known_route_tags, lexicon_from_tag_counts, train)
@@ -185,6 +185,25 @@ def test_short_word_letter_padding(pv):
     lex = lexicon_from_tag_counts({"a": {"nn": 1}}, interner)
     rows = rows_of(extract_unknown_cases(single, lex, interner))
     assert rows[0][0] == ("a", "=", "=", "=", "=", "a")
+
+
+def test_lexicon_word_without_positive_tag_counts_rejected():
+    """A word with no tag counts, or with a count below 1 (which a model
+    file could not hold), is named wherever it stands."""
+    for bad in ({}, {"nn": 0}, {"nn": 0, "vb": 0}, {"nn": -1, "vb": 3}):
+        for counts in ({"w": bad}, {"w": bad, "a": {"nn": 1}},
+                       {"a": {"nn": 1}, "w": bad}):
+            with pytest.raises(ParameterError,
+                               match=r"word 'w' needs tag counts, each >= 1"):
+                lexicon_from_tag_counts(counts, Interner())
+
+
+def test_lexicon_routing_cache_is_not_a_parameter():
+    """A Lexicon builds its routing maps itself; none can be passed in."""
+    with pytest.raises(TypeError, match="6 positional arguments"):
+        Lexicon({}, [], [], [], {}, {True: {}})
+    with pytest.raises(TypeError, match="_routes"):
+        Lexicon({}, [], [], [], {}, _routes={})
 
 
 def test_extraction_requires_lexicon_coverage(f1):
