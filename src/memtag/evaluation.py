@@ -199,9 +199,9 @@ def _cached_accuracy(classify, queries: list[tuple[Vector, int]]) -> float:
     return correct / total if total else 1.0
 
 
-def compare_algorithms(train_c: Corpus, test_c: Corpus,
-                       config: TaggerConfig = TaggerConfig()) -> dict[str, float]:
+def compare_algorithms(train_c: Corpus, test_c: Corpus) -> dict[str, float]:
     """Known-word accuracy of IB1, IB1-IG and IGTree on one shared split."""
+    config = TaggerConfig()
     interner = Interner()
     lexicon = build_lexicon(train_c, interner, config.threshold)
     base = extract_known_cases(train_c, lexicon, interner, config)
@@ -219,11 +219,10 @@ def compare_algorithms(train_c: Corpus, test_c: Corpus,
     }
 
 
-def compare_on_folds(corpus: Corpus, k: int = 10, seed: int = 0,
-                     config: TaggerConfig = TaggerConfig()
+def compare_on_folds(corpus: Corpus, k: int = 10, seed: int = 0
                      ) -> list[dict[str, float]]:
     """compare_algorithms on every cross-validation fold, in fold order."""
-    return [compare_algorithms(tr, te, config)
+    return [compare_algorithms(tr, te)
             for tr, te in cv_folds(corpus, k, seed)]
 
 

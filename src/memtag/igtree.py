@@ -33,10 +33,10 @@ class IGTree:
     __slots__ = ("root", "feature_order", "arity", "case_count")
 
     def __init__(self, root: IGTreeNode, feature_order: tuple[int, ...],
-                 arity: int, case_count: int):
+                 case_count: int):
         self.root = root
         self.feature_order = feature_order
-        self.arity = arity
+        self.arity = len(feature_order)
         self.case_count = case_count
 
     def classify(self, query: Vector) -> int:
@@ -88,7 +88,7 @@ def build(base: CaseBase, weights: FeatureWeights) -> IGTree:
     order = feature_order(weights)
     items = list(base.patterns.items())
     root = _build(items, order, 0, base.interner)
-    return IGTree(root, order, base.arity, base.total_cases)
+    return IGTree(root, order, base.total_cases)
 
 
 def _build(items: list[tuple[Vector, ClassDistribution]],
@@ -125,8 +125,7 @@ def prune(tree: IGTree) -> IGTree:
     arc and gets the parent default, which is the same class. Returns a new
     tree; the input is untouched.
     """
-    return IGTree(_prune(tree.root), tree.feature_order, tree.arity,
-                  tree.case_count)
+    return IGTree(_prune(tree.root), tree.feature_order, tree.case_count)
 
 
 def _prune(node: IGTreeNode) -> IGTreeNode:
@@ -158,10 +157,9 @@ class TreeStats:
 
 def stats(tree: IGTree) -> TreeStats:
     """Size report. `serialized_bytes` is the tree's section in the model
-    file: arity, case count and feature order, then per node its default and
-    arc count, and per arc its value, one u32 each. The expanded baseline is
-    the flat store of all trained cases at one u32 per feature-or-target
-    slot."""
+    file: case count, then per node its default and arc count, and per arc
+    its value, one u32 each. The expanded baseline is the flat store of all
+    trained cases at one u32 per feature-or-target slot."""
     nodes = leaves = arcs = 0
     histogram: dict[int, int] = {}
     stack = [(tree.root, 0)]
@@ -177,7 +175,7 @@ def stats(tree: IGTree) -> TreeStats:
             arcs += len(node.arcs)
             for child in node.arcs.values():
                 stack.append((child, depth + 1))
-    serialized = 4 * (2 + tree.arity) + 8 * nodes + 4 * arcs
+    serialized = 4 + 8 * nodes + 4 * arcs
     expanded = tree.case_count * (tree.arity + 1) * 4
     return TreeStats(nodes, leaves, arcs, max_depth, histogram, serialized,
                      expanded)

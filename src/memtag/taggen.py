@@ -41,7 +41,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .casebase import CaseBase, Vector, majority_class
 from .corpus import Corpus
 from .errors import ModelFormatError, ParameterError, StructureError
-from .igtree import IGTree, IGTreeNode, build, prune, stats
+from .igtree import IGTree, IGTreeNode, build, feature_order, prune, stats
 from .interning import NO_SYMBOL, Interner
 from .metrics import FeatureWeights, information_gains
 
@@ -52,7 +52,7 @@ KNOWN_SLOTS = ("d-2", "d-1", "f", "a+1")
 UNKNOWN_SLOTS = ("p", "d-1", "a+1", "s-3", "s-2", "s-1")
 
 MAGIC = b"MBT1"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 # Digits with optional sign, optional 3-digit grouping commas, optional
 # decimal fraction: "61", "12,345.6", "-29".
@@ -74,6 +74,11 @@ def is_number(word: str) -> bool:
     return word.isdecimal() or _NUMBER_RE.fullmatch(word) is not None
 
 
+def _check_threshold(threshold: float) -> None:
+    if not 0.0 <= threshold <= 1.0:  # also false for NaN
+        raise ParameterError(f"threshold must be in [0, 1], got {threshold}")
+
+
 @dataclass(frozen=True)
 class TaggerConfig:
     """Knobs of the generator; everything else is learned from the corpus."""
@@ -83,9 +88,7 @@ class TaggerConfig:
     route_numbers_to_unknown: bool = True
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.threshold <= 1.0:  # also false for NaN
-            raise ParameterError(
-                f"threshold must be in [0, 1], got {self.threshold}")
+        _check_threshold(self.threshold)
 
     def is_open_class(self, tag: str) -> bool:
         if self.closed_class_tags is not None:
@@ -191,6 +194,7 @@ def build_lexicon(corpus: Corpus, interner: Interner,
     word's tokens (the most frequent one always survives), and synthesize
     one lexicon tag per type by joining the survivors with "-" in
     descending-frequency order."""
+    _check_threshold(threshold)
     if not corpus.sentences:
         raise ParameterError("cannot build a lexicon from an empty corpus")
     # Counter keys keep first-occurrence order
@@ -206,6 +210,7 @@ def lexicon_from_tag_counts(
         threshold: float = 0.10) -> Lexicon:
     """Build a lexicon from explicit per-word tag counts (for a corpus,
     hand-built fixtures and external lexical resources)."""
+    _check_threshold(threshold)
     n_tags: list[int] = []
     tag_ids: list[int] = []
     counts: list[int] = []
@@ -578,7 +583,7 @@ def _node_u32s(node: IGTreeNode, ints: list[int]) -> None:
 
 
 def _write_model(model: TaggerModel) -> bytes:
-    """The model file, version 3. Integers are little-endian u32 unless
+    """The model file, version 4. Integers are little-endian u32 unless
     marked; a column is `_column`'s, texts are `_texts`'.
 
         header     b"MBT1", u16 version
@@ -588,14 +593,15 @@ def _write_model(model: TaggerModel) -> bytes:
                    closed-class tags as texts
         lexicon    the words as texts, then columns: per word its tag
                    count; every word's tag ids; the counts of those tags
-        weights    known then unknown: count, then that many f64 gains
+        weights    known then unknown: arity (4, then 6) f64 gains
         trees      known then unknown: u8 present (0 or 1); if present,
-                   arity, case count, feature order, then the nodes in
-                   preorder (`_node_u32s`)
+                   case count, then the nodes in preorder (`_node_u32s`)
         trailer    CRC-32 (`zlib.crc32`) of every byte before it
 
     A word's surviving tags and lexicon tag are not stored: they follow
-    from its tag counts and the threshold (`_lexicon_tag`).
+    from its tag counts and the threshold (`_lexicon_tag`). Nor is a tree's
+    feature order: it is `feature_order` of its gains, as in `build`, and a
+    tree in another order is refused with StructureError.
     """
     interner, config = model.interner, model.config
     closed = config.closed_class_tags
@@ -611,15 +617,19 @@ def _write_model(model: TaggerModel) -> bytes:
     out += _column(lexicon.n_tags)
     out += _column(lexicon.tag_ids)
     out += _column(lexicon.counts)
-    for weights in (model.known_weights, model.unknown_weights):
-        out += _U32.pack(len(weights))
-        out += struct.pack(f"<{len(weights)}d", *weights)
-    for tree in (model.known_tree, model.unknown_tree):
+    bases = ((KNOWN_ARITY, model.known_weights, model.known_tree),
+             (UNKNOWN_ARITY, model.unknown_weights, model.unknown_tree))
+    for arity, weights, _ in bases:
+        out += struct.pack(f"<{arity}d", *weights)
+    for _, weights, tree in bases:
         if tree is None:
             out.append(0)
             continue
+        if tree.feature_order != feature_order(weights):
+            raise StructureError(f"tree feature order {tree.feature_order} "
+                                 "is not the order of its gains")
         out.append(1)
-        ints = [tree.arity, tree.case_count, *tree.feature_order]
+        ints = [tree.case_count]
         _node_u32s(tree.root, ints)
         out += struct.pack(f"<{len(ints)}I", *ints)
     out += _U32.pack(zlib.crc32(out))
@@ -713,20 +723,15 @@ def _read_node(buf: bytes, off: int, depth_left: int, n_symbols: int
     return IGTreeNode(default, arcs), off
 
 
-def _read_tree(buf: bytes, off: int, arity: int, n_symbols: int
+def _read_tree(buf: bytes, off: int, weights: FeatureWeights, n_symbols: int
                ) -> tuple[IGTree | None, int]:
+    """A tree that tests its features in the order of its gains, `weights`."""
     if not _flag(buf[off]):
         return None, off + 1
-    tree_arity, case_count = struct.unpack_from("<2I", buf, off + 1)
-    off += 9
-    if tree_arity != arity:
-        raise ModelFormatError(f"tree arity {tree_arity}, expected {arity}")
-    order = struct.unpack_from(f"<{arity}I", buf, off)
-    off += 4 * arity
-    if sorted(order) != list(range(arity)):
-        raise ModelFormatError("feature order is not a permutation")
-    root, off = _read_node(buf, off, arity, n_symbols)
-    return IGTree(root, order, arity, case_count), off
+    (case_count,) = _U32.unpack_from(buf, off + 1)
+    order = feature_order(weights)
+    root, off = _read_node(buf, off + 5, len(order), n_symbols)
+    return IGTree(root, order, case_count), off
 
 
 def _read_model(buf: bytes) -> TaggerModel:
@@ -767,13 +772,10 @@ def _read_model(buf: bytes) -> TaggerModel:
         lexicon, off = _read_lexicon(body, off, interner, threshold)
         weights = []
         for arity in (KNOWN_ARITY, UNKNOWN_ARITY):
-            (n,) = _U32.unpack_from(body, off)
-            if n != arity:
-                raise ModelFormatError(f"{n} weights for arity {arity}")
-            weights.append(struct.unpack_from(f"<{n}d", body, off + 4))
-            off += 4 + 8 * n
-        known_tree, off = _read_tree(body, off, KNOWN_ARITY, n_symbols)
-        unknown_tree, off = _read_tree(body, off, UNKNOWN_ARITY, n_symbols)
+            weights.append(struct.unpack_from(f"<{arity}d", body, off))
+            off += 8 * arity
+        known_tree, off = _read_tree(body, off, weights[0], n_symbols)
+        unknown_tree, off = _read_tree(body, off, weights[1], n_symbols)
     except ModelFormatError:
         raise
     except (struct.error, IndexError, ValueError) as exc:

@@ -77,9 +77,19 @@ def count_known_route_tags(monkeypatch):
 
 def tree_header(tree):
     """The first bytes of a tree's section in the model file, after its
-    presence byte: arity, case count, feature order."""
-    return struct.pack(f"<{2 + tree.arity}I", tree.arity, tree.case_count,
-                       *tree.feature_order)
+    presence byte: the case count. The feature order is not stored."""
+    return struct.pack("<I", tree.case_count)
+
+
+def tree_start(model, tree):
+    """Where `tree`'s section starts in `model`'s file, after its presence
+    byte. Both trees must be present: they end the body, the known one and
+    then the unknown one, each after its presence byte."""
+    start = (len(model.to_bytes()) - 4
+             - stats(model.unknown_tree).serialized_bytes)
+    if tree is model.unknown_tree:
+        return start
+    return start - 1 - stats(model.known_tree).serialized_bytes
 
 
 LEAF = struct.pack("<2I", 0, 0)  # a tree node: default symbol 0, no arcs
@@ -158,7 +168,8 @@ def f1_model_with_known_nodes(nodes):
     model = train(read_corpus(F1_PATH))
     data = model.to_bytes()
     header = tree_header(model.known_tree)
-    start = data.index(header)
+    start = tree_start(model, model.known_tree)
+    assert data[start:start + len(header)] == header
     end = start + stats(model.known_tree).serialized_bytes
     return with_crc(data[:start] + header + nodes + data[end:])
 

@@ -316,9 +316,9 @@ def test_model_bytes_pinned(model_100k, synth_100k, synth_medium):
     def sha1(model):
         return hashlib.sha1(model.to_bytes()).hexdigest()
 
-    assert sha1(model_100k) == "4bcb5a25034fc17cd73e872476b8e127704e9a67"
+    assert sha1(model_100k) == "d6b27f168eedf44540f8266622e8011356371874"
     assert (sha1(train(synth_100k, NON_DEFAULT))
-            == "d2874290e5c4088135e8ee8bd8219b834dc89770")
-    assert sha1(train(synth_medium)) == "e4595ecadcf773bdc6391dc3d0dec62fd8aeb9ee"
+            == "1b0aaeea6a29c265d7da7b2aa22869ada01e2f4a")
+    assert sha1(train(synth_medium)) == "3e02ff851b938b10bd92d9bec90d02747739af81"
     assert (sha1(train(synth_medium, NON_DEFAULT))
-            == "b84c38148854b4a6945dbda4acfb3c88b9f1e20c")
+            == "83908c4a55857a597b20df300c0ddbac79a98b04")

@@ -1,10 +1,12 @@
 """The benchmark under bench/ reads memtag's names: the model constructor,
-the lexicon's entries, the extractors. Its train checks, run here on a
-small trained model, fail on a change that breaks one of them."""
+the lexicon's entries, the extractors, the layers it times one by one. Its
+train checks and its traced train and oracle phases, run here on small
+inputs, fail on a change that breaks one of them."""
 
 import os
 
-from memtag.corpus import format_corpus
+from memtag.corpus import Corpus, format_corpus, read_corpus, write_corpus
+from memtag.evaluation import compare_algorithms
 from memtag.taggen import train
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
@@ -18,3 +20,34 @@ def test_bench_model_checks_pass(synth_small, monkeypatch):
     verdicts = workloads.check_model(data, format_corpus(synth_small), 0)
     assert verdicts == {"train.reload_identical": [], "train.lexicon": [],
                         "train.trie_majority": []}
+
+
+def test_bench_traced_train_writes_train_bytes(synth_small, tmp_path,
+                                               monkeypatch):
+    """The traced phase calls train()'s layers one by one and must assemble
+    the model train() writes: the benchmark's train.traced_layers_equal_train
+    check."""
+    monkeypatch.syspath_prepend(BENCH)
+    import phase
+    corpus, model = str(tmp_path / "train.tagged"), tmp_path / "m.mbt"
+    write_corpus(synth_small, corpus)
+    result = phase.train_traced({"corpus": corpus, "model": str(model)})
+    assert model.read_bytes() == train(read_corpus(corpus)).to_bytes()
+    assert result["layers"]["igtree.known_bytes"] > 0
+
+
+def test_bench_traced_oracle_equals_compare_algorithms(synth_small, tmp_path,
+                                                        monkeypatch):
+    """The traced oracle wraps compare_algorithms' layers for one call: it
+    must answer as the plain call does, and count the IB1-IG queries."""
+    monkeypatch.syspath_prepend(BENCH)
+    import phase
+    train_c = Corpus(synth_small.sentences[:200])
+    test_c = Corpus(synth_small.sentences[200:220])
+    paths = {"corpus": str(tmp_path / "train.tagged"),
+             "test": str(tmp_path / "test.tagged")}
+    write_corpus(train_c, paths["corpus"])
+    write_corpus(test_c, paths["test"])
+    result = phase.oracle_traced(paths)
+    assert result["result"] == compare_algorithms(train_c, test_c)
+    assert result["layers"]["ib.distinct_queries"] > 0

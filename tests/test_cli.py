@@ -6,10 +6,11 @@ import pytest
 from conftest import (F1_PATH, chained_known_tree_model, config_offset,
                       count_lexical_entries, f1_model_with_lexicon,
                       lexicon_columns, lexicon_section, text_table,
-                      tree_header, with_crc)
+                      tree_header, tree_start, with_crc)
 from memtag.cli import main
 from memtag.corpus import read_corpus, write_corpus
 from memtag.errors import ModelFormatError
+from memtag.evaluation import gains_tsv as gains_tsv_text
 from memtag.synth import SynthConfig, synth_corpus
 from memtag.taggen import TaggerModel, train
 
@@ -137,7 +138,7 @@ def test_tag_tree_default_out_of_range(model_path, tmp_path, capsys):
     data = bytearray(model.to_bytes())
     tree = model.unknown_tree
     header = tree_header(tree)
-    root = data.index(header) + len(header)
+    root = tree_start(model, tree) + len(header)
     assert data[root:root + 4] == tree.root.default.to_bytes(4, "little")
     data[root:root + 4] = (0xFFFFFFFF).to_bytes(4, "little")
     bad = tmp_path / "bad.model"
@@ -162,12 +163,20 @@ def flipped_byte_model():
     return bytes(data)
 
 
+def trailing_byte_model():
+    """The f1 model with one byte appended to its body, CRC recomputed."""
+    data = train(read_corpus(F1_PATH)).to_bytes()
+    return with_crc(data[:-4] + b"\x00" + data[-4:])
+
+
 @pytest.mark.parametrize("data, message", [
     (b"MBT1\x01", "truncated model header"),  # half a version
     (flipped_byte_model(), "CRC mismatch"),
     (zero_count_model(), "lexicon count of zero"),  # CRC-valid
     (chained_known_tree_model(3000), "below the last feature"),  # CRC-valid
-], ids=["short_header", "crc_mismatch", "zero_count", "deep_tree"])
+    (trailing_byte_model(), "1 trailing bytes"),  # CRC-valid
+], ids=["short_header", "crc_mismatch", "zero_count", "deep_tree",
+        "trailing_byte"])
 def test_tag_malformed_model_exits_3(data, message, tmp_path, capsys):
     bad = tmp_path / "bad.model"
     bad.write_bytes(data)
@@ -178,19 +187,20 @@ def test_tag_malformed_model_exits_3(data, message, tmp_path, capsys):
 
 
 def test_v1_model_rejected(tmp_path, capsys):
-    """Version 1 and 2 files are refused by their version, before the CRC
-    is read, with a message that says to retrain."""
+    """Version 1, 2 and 3 files are refused by their version, before the
+    CRC is read, with a message that says to retrain."""
     # each header, then the start of that version's interner table: "=" and
-    # "UNK-A", as v1's count and length-prefixed texts, as v2's text list
+    # "UNK-A", as v1's count and length-prefixed texts, as v2's and v3's
+    # text list
     old = {1: struct.pack("<II", 2, 1) + b"=" + struct.pack("<I", 5)
            + b"UNK-A",
-           2: text_table(["=", "UNK-A"])}
+           2: text_table(["=", "UNK-A"]), 3: text_table(["=", "UNK-A"])}
     inp = tmp_path / "in.txt"
     inp.write_text("the cat .\n")
     for version, interner in old.items():
         data = b"MBT1" + struct.pack("<H", version) + interner
         with pytest.raises(ModelFormatError,
-                           match=f"version {version} .*version 3.*retrain"):
+                           match=f"version {version} .*version 4.*retrain"):
             TaggerModel.from_bytes(data)
         bad = tmp_path / f"v{version}.model"
         bad.write_bytes(data)
@@ -211,6 +221,10 @@ def test_eval_table_and_artifacts(model_path, tmp_path, capsys):
     glines = gains_tsv.read_text().splitlines()
     assert glines[0] == "feature_index\tgain"
     assert len(glines) == 5
+    assert main(["eval", F1_PATH, "--model", model_path, "--dump-gains",
+                 str(gains_tsv), "--gains-base", "unknown"]) == 0
+    unknown = TaggerModel.load(model_path).unknown_weights
+    assert gains_tsv.read_text() == gains_tsv_text(unknown) + "\n"
 
 
 def test_eval_gold_left_context_flag(model_path):
@@ -232,11 +246,14 @@ def test_curve_command(tmp_path, capsys):
     corpus_path = str(tmp_path / "synth.tagged")
     write_corpus(synth_corpus(SynthConfig(n_tokens=3000, seed=1)), corpus_path)
     out = tmp_path / "curve.tsv"
-    assert main(["curve", corpus_path, "--sizes", "1000,2000", "--folds", "3",
-                 "--out", str(out)]) == 0
+    argv = ["curve", corpus_path, "--sizes", "1000,2000", "--folds", "3"]
+    assert main(argv + ["--out", str(out)]) == 0
     lines = out.read_text().splitlines()
     assert lines[0] == "size\tmean\tstddev"
     assert len(lines) == 3
+    capsys.readouterr()
+    assert main(argv) == 0  # without --out, the same TSV on stdout
+    assert capsys.readouterr().out == out.read_text()
 
 
 def test_curve_requires_sizes(tmp_path):

@@ -242,13 +242,13 @@ def test_tree_bytes_round_trip():
     """Both trees survive the model file: same nodes, same feature order,
     same answers."""
     interner = Interner()
-    trees = []
+    gains, trees = [], []
     for arity, seed in ((4, 6), (6, 8)):
         base = random_base(seed, arity=arity, interner=interner)
-        trees.append(prune(build(base, information_gains(base))))
+        gains.append(information_gains(base))
+        trees.append(prune(build(base, gains[-1])))
     model = TaggerModel(interner, lexicon_from_tag_counts({}, interner),
-                        TaggerConfig(), (0.0,) * 4,
-                        (0.0,) * 6, trees[0], trees[1], 0)
+                        TaggerConfig(), *gains, *trees, 0)
     data = model.to_bytes()
     loaded = TaggerModel.from_bytes(data)
     assert loaded.to_bytes() == data

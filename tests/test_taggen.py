@@ -11,9 +11,9 @@ from conftest import (LEAF, PV_LEXICON, PV_SENTENCE, chained_known_tree_model,
                       f1_model_with_lexicon, fingerprint, lexicon_columns,
                       lexicon_section, text_table, texts, with_crc)
 from memtag.corpus import Corpus, parse_corpus
-from memtag.errors import ModelFormatError, ParameterError
+from memtag.errors import ModelFormatError, ParameterError, StructureError
 from memtag.evaluation import compare_algorithms, evaluate
-from memtag.igtree import stats
+from memtag.igtree import feature_order, stats
 from memtag.interning import BOUNDARY, UNKNOWN_MARK, Interner
 from memtag.taggen import (Lexicon, TaggerConfig, TaggerModel, _lexicon_tag,
                            build_lexicon, extract_known_cases,
@@ -67,12 +67,23 @@ def test_lexicon_f1_saw_tie(f1):
         "ambiguous tokens: 22.2%"]
 
 
-def test_threshold_must_lie_in_unit_interval():
+def test_threshold_must_lie_in_unit_interval(f1):
+    """TaggerConfig and the lexicon builders share one check, which the
+    builders make before they intern anything. On f1, 7 and NaN would
+    keep only the top tag of "saw", and -1 every tag."""
     for threshold in (0.0, 0.10, 1.0):
         assert TaggerConfig(threshold=threshold).threshold == threshold
-    for threshold in (-0.01, 1.5, 7.0, float("nan"), float("inf")):
+    counts = {"saw": {"NN": 2, "VBD": 2}}
+    for threshold in (-0.01, -1.0, 1.5, 7.0, float("nan"), float("inf")):
         with pytest.raises(ParameterError, match=r"threshold must be in \[0, 1\]"):
             TaggerConfig(threshold=threshold)
+        for build, source in ((build_lexicon, f1),
+                              (lexicon_from_tag_counts, counts)):
+            interner = Interner()
+            with pytest.raises(ParameterError,
+                               match=r"threshold must be in \[0, 1\]"):
+                build(source, interner, threshold)
+            assert list(interner) == [BOUNDARY, UNKNOWN_MARK]
 
 
 def test_lexicon_keeps_most_frequent_even_below_threshold():
@@ -207,11 +218,11 @@ def test_lexicon_routing_cache_is_not_a_parameter():
 
 
 def test_extraction_requires_lexicon_coverage(f1):
-    from memtag.errors import StructureError
     interner = Interner()
     partial = lexicon_from_tag_counts({"the": {"DT": 1}}, interner)
-    with pytest.raises(StructureError, match="not in lexicon"):
-        extract_known_cases(f1, partial, interner)
+    for extract in (extract_known_cases, extract_unknown_cases):
+        with pytest.raises(StructureError, match="'cat' not in lexicon"):
+            extract(f1, partial, interner)
 
 
 def test_is_number():
@@ -240,6 +251,20 @@ def test_train_single_sentence_degenerate():
     # the fallback tag
     assert model.unknown_tree is None
     assert model.tag(["unseen"]) == ["UH"]
+
+
+def test_summary_reports_empty_trees():
+    """A route without training cases has no tree, and summary() says so:
+    all-numeral text has no known case, closed-class text no unknown one."""
+    numerals = train(parse_corpus("61/CD 29/CD"))
+    assert numerals.known_tree is None and numerals.unknown_tree is not None
+    closed = train(parse_corpus("the/DT of/IN"))
+    assert closed.known_tree is not None and closed.unknown_tree is None
+    for model, name in ((numerals, "known"), (closed, "unknown")):
+        lines = model.summary().splitlines()
+        assert f"{name} tree: empty" in lines
+        loaded = TaggerModel.from_bytes(model.to_bytes())
+        assert loaded.summary().splitlines() == lines
 
 
 def test_train_determinism(f1):
@@ -560,6 +585,52 @@ def test_tree_deeper_than_arity_fails_on_load():
     for depth in (5, 3000):
         with pytest.raises(ModelFormatError, match="below the last feature"):
             TaggerModel.from_bytes(chained_known_tree_model(depth))
+
+
+def test_tree_order_follows_gains(f1):
+    """The file stores gains but no feature order: right after the ten
+    gains come the known tree's presence byte, case count and root. With
+    the known gains reversed (CRC recomputed), the loaded tree tests its
+    features in the reversed gains' order, and writes the file back."""
+    model = train(f1)
+    data = model.to_bytes()
+    gains = struct.pack("<4d6d", *model.known_weights, *model.unknown_weights)
+    known = struct.pack("<B2I", 1, model.known_tree.case_count,
+                        model.known_tree.root.default)
+    start = data.index(gains + known)
+    for loaded in (model, TaggerModel.from_bytes(data)):
+        for tree, weights in ((loaded.known_tree, loaded.known_weights),
+                              (loaded.unknown_tree, loaded.unknown_weights)):
+            assert tree.feature_order == feature_order(weights)
+    reversed_gains = model.known_weights[::-1]
+    assert feature_order(reversed_gains) != model.known_tree.feature_order
+    patched = with_crc(data[:start] + struct.pack("<4d", *reversed_gains)
+                       + data[start + 32:])
+    loaded = TaggerModel.from_bytes(patched)
+    assert loaded.known_weights == reversed_gains
+    assert loaded.known_tree.feature_order == feature_order(reversed_gains)
+    assert loaded.to_bytes() == patched
+
+
+def test_write_refuses_tree_out_of_gain_order(f1):
+    """A tree that does not test its features in the order of its gains
+    could not be read back from a file that stores only the gains."""
+    m = train(f1)
+    for known_weights, unknown_weights in (
+            (m.known_weights[::-1], m.unknown_weights),
+            (m.known_weights, m.unknown_weights[::-1])):
+        bad = TaggerModel(m.interner, m.lexicon, m.config, known_weights,
+                          unknown_weights, m.known_tree, m.unknown_tree,
+                          m.fallback_tag)
+        with pytest.raises(StructureError,
+                           match="is not the order of its gains"):
+            bad.to_bytes()
+    # without the tree, any gains are written and read back
+    no_tree = TaggerModel(m.interner, m.lexicon, m.config,
+                          m.known_weights[::-1], m.unknown_weights, None,
+                          m.unknown_tree, m.fallback_tag)
+    data = no_tree.to_bytes()
+    assert TaggerModel.from_bytes(data).known_weights == m.known_weights[::-1]
 
 
 def test_tree_section_size_is_stats_serialized_bytes(f1):
