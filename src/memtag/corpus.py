@@ -7,11 +7,38 @@ with embedded slashes unambiguous: "1/2/CD" is the word "1/2" tagged "CD".
 
 from __future__ import annotations
 
+import functools
+import gc
 import random
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .errors import CorpusParseError, EmptyCorpusError, ParameterError
+
+
+def collector_paused(func: Callable) -> Callable:
+    """Run each call of `func` with the cyclic garbage collector off.
+
+    `Token` is a tuple subclass, and CPython untracks only exact tuples, so
+    every corpus token stays tracked by the collector for life. A bulk build
+    from a corpus or a file allocates enough objects to start many
+    collections, and each full one walks every token alive while freeing
+    nothing: memtag's bulk builds make no reference cycles. On return or on
+    an exception the collector is turned back on only if it was on when the
+    call began, so nested calls and callers that turned it off keep their
+    state. The pause is process-wide: another thread's collections wait
+    until the call ends.
+    """
+    @functools.wraps(func)
+    def paused(*args, **kwargs):
+        was_on = gc.isenabled()
+        gc.disable()
+        try:
+            return func(*args, **kwargs)
+        finally:
+            if was_on:
+                gc.enable()
+    return paused
 
 
 class Token(NamedTuple):
@@ -34,6 +61,7 @@ class Corpus:
         return len(self.sentences)
 
 
+@collector_paused
 def parse_corpus(text: str) -> Corpus:
     """Parse a tagged corpus from a string.
 

@@ -17,7 +17,7 @@ from statistics import mean, pstdev
 
 from . import ib
 from .casebase import Vector
-from .corpus import Corpus, cv_folds
+from .corpus import Corpus, collector_paused, cv_folds
 from .errors import ParameterError
 from .igtree import build, prune
 from .interning import Interner
@@ -83,6 +83,7 @@ class EvalReport:
         return "\n".join(lines)
 
 
+@collector_paused
 def evaluate(model: TaggerModel, test: Corpus,
              gold_left_context: bool = False) -> EvalReport:
     """Tag `test` and score per token against the gold tags."""
@@ -199,6 +200,7 @@ def _cached_accuracy(classify, queries: list[tuple[Vector, int]]) -> float:
     return correct / total if total else 1.0
 
 
+@collector_paused
 def compare_algorithms(train_c: Corpus, test_c: Corpus) -> dict[str, float]:
     """Known-word accuracy of IB1, IB1-IG and IGTree on one shared split."""
     config = TaggerConfig()

@@ -16,7 +16,7 @@ from bisect import bisect
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .corpus import Corpus, Sentence, Token
+from .corpus import Corpus, Sentence, Token, collector_paused
 from .errors import ParameterError
 
 OPEN_TAGS = ("NN", "VB", "JJ", "RB", "NNS", "VBD", "VBZ")
@@ -53,6 +53,7 @@ class _Sampler:
         return self.items[bisect(self.cum, rng.random() * self.total)]
 
 
+@collector_paused
 def synth_corpus(config: SynthConfig = SynthConfig()) -> Corpus:
     rng = random.Random(config.seed)
     chain_tags = [*OPEN_TAGS, *CLOSED_TAGS, "CD"]

@@ -39,7 +39,7 @@ from itertools import accumulate, chain
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .casebase import CaseBase, Vector, majority_class
-from .corpus import Corpus
+from .corpus import Corpus, collector_paused
 from .errors import ModelFormatError, ParameterError, StructureError
 from .igtree import IGTree, IGTreeNode, build, feature_order, prune, stats
 from .interning import NO_SYMBOL, Interner
@@ -517,6 +517,7 @@ class TaggerModel:
             return cls.from_bytes(fh.read())
 
 
+@collector_paused
 def train(corpus: Corpus, config: TaggerConfig = TaggerConfig()) -> TaggerModel:
     """Generate a complete tagger model from a tagged corpus."""
     if not corpus.sentences:
@@ -601,7 +602,8 @@ def _write_model(model: TaggerModel) -> bytes:
     A word's surviving tags and lexicon tag are not stored: they follow
     from its tag counts and the threshold (`_lexicon_tag`). Nor is a tree's
     feature order: it is `feature_order` of its gains, as in `build`, and a
-    tree in another order is refused with StructureError.
+    tree in another order is refused with StructureError, as are gains
+    whose count is not their base's arity.
     """
     interner, config = model.interner, model.config
     closed = config.closed_class_tags
@@ -617,11 +619,15 @@ def _write_model(model: TaggerModel) -> bytes:
     out += _column(lexicon.n_tags)
     out += _column(lexicon.tag_ids)
     out += _column(lexicon.counts)
-    bases = ((KNOWN_ARITY, model.known_weights, model.known_tree),
-             (UNKNOWN_ARITY, model.unknown_weights, model.unknown_tree))
-    for arity, weights, _ in bases:
+    bases = (("known", KNOWN_ARITY, model.known_weights, model.known_tree),
+             ("unknown", UNKNOWN_ARITY, model.unknown_weights,
+              model.unknown_tree))
+    for base, arity, weights, _ in bases:
+        if len(weights) != arity:
+            raise StructureError(f"{base} gains: {len(weights)} values for "
+                                 f"arity {arity}")
         out += struct.pack(f"<{arity}d", *weights)
-    for _, weights, tree in bases:
+    for _, _, weights, tree in bases:
         if tree is None:
             out.append(0)
             continue
@@ -734,6 +740,7 @@ def _read_tree(buf: bytes, off: int, weights: FeatureWeights, n_symbols: int
     return IGTree(root, order, case_count), off
 
 
+@collector_paused
 def _read_model(buf: bytes) -> TaggerModel:
     """Inverse of `_write_model`. Checks, in order: the magic bytes, the
     version, the CRC, then the body. Any buffer that is not a model file

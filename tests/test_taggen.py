@@ -633,6 +633,21 @@ def test_write_refuses_tree_out_of_gain_order(f1):
     assert TaggerModel.from_bytes(data).known_weights == m.known_weights[::-1]
 
 
+def test_write_refuses_gains_of_the_wrong_length(f1):
+    m = train(f1)
+    for known_weights, unknown_weights, message in (
+            (m.known_weights[:3], m.unknown_weights,
+             "known gains: 3 values for arity 4"),
+            (m.known_weights, m.unknown_weights + (0.0,),
+             "unknown gains: 7 values for arity 6")):
+        for known_tree in (m.known_tree, None):
+            bad = TaggerModel(m.interner, m.lexicon, m.config, known_weights,
+                              unknown_weights, known_tree, m.unknown_tree,
+                              m.fallback_tag)
+            with pytest.raises(StructureError, match=message):
+                bad.to_bytes()
+
+
 def test_tree_section_size_is_stats_serialized_bytes(f1):
     m = train(f1)
     size = len(m.to_bytes())
