@@ -31,6 +31,16 @@ def majority_class(counts: Mapping[int, int], interner: Interner) -> int:
     return min(counts, key=lambda c: (-counts[c], text(c)))
 
 
+def pool(dists: Iterable[ClassDistribution]) -> ClassDistribution:
+    """The class counts of `dists` added up: IB1-IG's vote and each IGTree
+    node's default pool here, as their equivalence on training needs."""
+    totals: ClassDistribution = {}
+    for dist in dists:
+        for cls, n in dist.items():
+            totals[cls] = totals.get(cls, 0) + n
+    return totals
+
+
 class CaseBase:
     """Pattern -> class-count store for one case layout (fixed arity)."""
 
@@ -66,11 +76,7 @@ class CaseBase:
 
     def class_counts(self) -> ClassDistribution:
         """Aggregate class distribution over all stored cases."""
-        totals: ClassDistribution = {}
-        for dist in self.patterns.values():
-            for cls, n in dist.items():
-                totals[cls] = totals.get(cls, 0) + n
-        return totals
+        return pool(self.patterns.values())
 
     def items(self) -> Iterator[tuple[Vector, ClassDistribution]]:
         return iter(self.patterns.items())

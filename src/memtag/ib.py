@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Sequence
 
-from .casebase import CaseBase, ClassDistribution, Vector, majority_class
+from .casebase import CaseBase, ClassDistribution, Vector, majority_class, pool
 from .errors import StructureError
 from .metrics import FeatureWeights
 
@@ -27,13 +27,6 @@ from .metrics import FeatureWeights
 class NearestSet:
     distance: float
     members: list[tuple[Vector, ClassDistribution]]
-
-    def pooled(self) -> ClassDistribution:
-        pool: ClassDistribution = {}
-        for _, dist in self.members:
-            for cls, n in dist.items():
-                pool[cls] = pool.get(cls, 0) + n
-        return pool
 
 
 def _checked_weights(base: CaseBase, query: Vector,
@@ -169,13 +162,13 @@ def classify_ib1(base: CaseBase, query: Vector,
                  index: OverlapIndex | None = None) -> int:
     """Majority class of the pooled nearest set under unweighted overlap;
     an index over base gives the same class faster."""
-    pool = _nearest(base, query, None, index).pooled()
-    return majority_class(pool, base.interner)
+    members = _nearest(base, query, None, index).members
+    return majority_class(pool(map(itemgetter(1), members)), base.interner)
 
 
 def classify_ib1ig(base: CaseBase, weights: FeatureWeights, query: Vector,
                    index: OverlapIndex | None = None) -> int:
     """Majority class of the pooled nearest set under gain-weighted overlap;
     an index over base gives the same class faster."""
-    pool = _nearest(base, query, weights, index).pooled()
-    return majority_class(pool, base.interner)
+    members = _nearest(base, query, weights, index).members
+    return majority_class(pool(map(itemgetter(1), members)), base.interner)

@@ -12,8 +12,9 @@ matter how many cases were stored.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
-from .casebase import CaseBase, ClassDistribution, Vector, majority_class
+from .casebase import CaseBase, ClassDistribution, Vector, majority_class, pool
 from .errors import StructureError
 from .interning import Interner
 from .metrics import FeatureWeights
@@ -93,10 +94,7 @@ def build(base: CaseBase, weights: FeatureWeights) -> IGTree:
 
 def _build(items: list[tuple[Vector, ClassDistribution]],
            order: tuple[int, ...], depth: int, interner: Interner) -> IGTreeNode:
-    totals: ClassDistribution = {}
-    for _, dist in items:
-        for cls, n in dist.items():
-            totals[cls] = totals.get(cls, 0) + n
+    totals = pool(map(itemgetter(1), items))
     default = majority_class(totals, interner)
     # Ambiguity counts distinct classes, so two identical vectors with
     # different targets keep a subset ambiguous.

@@ -30,18 +30,15 @@ class Interner:
         self.intern_all([BOUNDARY, UNKNOWN_MARK, *texts])
 
     @classmethod
-    def from_table(cls, texts: list[str]) -> "Interner":
-        """The interner whose id i is `texts[i]`, built in one step. Raises
-        ValueError unless the table starts with the two markers and repeats
-        no text."""
-        if texts[:2] != [BOUNDARY, UNKNOWN_MARK]:
-            raise ValueError("interner table does not start with the "
-                             "boundary and unknown markers")
-        ids = dict(zip(texts, range(len(texts))))
-        if len(ids) != len(texts):
+    def from_table(cls, texts: Iterable[str]) -> "Interner":
+        """The two markers (ids 0 and 1), then `texts` in id order, in one
+        step. Raises ValueError if a text repeats or is a marker."""
+        table = [BOUNDARY, UNKNOWN_MARK, *texts]
+        ids = dict(zip(table, range(len(table))))
+        if len(ids) != len(table):
             raise ValueError("interner table repeats a text")
         interner = cls.__new__(cls)
-        interner._ids, interner._texts = ids, texts
+        interner._ids, interner._texts = ids, table
         return interner
 
     def intern(self, text: str) -> int:

@@ -52,7 +52,7 @@ KNOWN_SLOTS = ("d-2", "d-1", "f", "a+1")
 UNKNOWN_SLOTS = ("p", "d-1", "a+1", "s-3", "s-2", "s-1")
 
 MAGIC = b"MBT1"
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 # Digits with optional sign, optional 3-digit grouping commas, optional
 # decimal fraction: "61", "12,345.6", "-29".
@@ -149,15 +149,12 @@ class Lexicon:
 def _lexicon_tag(counts: dict[int, int], interner: Interner,
                  threshold: float) -> tuple[tuple[int, ...], str]:
     """The surviving tags of a word, most frequent first (ties by text),
-    and the text of its lexicon tag: the survivors joined with "-"."""
-    total = sum(counts.values())
-    keep = [t for t, n in counts.items() if n / total >= threshold]
-    top = majority_class(counts, interner)
-    if top not in keep:
-        # Threshold filtering must never empty an entry.
-        keep.append(top)
+    and the text of its lexicon tag: the survivors joined with "-". The
+    top tag always survives: if any tag passes the threshold, it does."""
     text = interner.text
-    keep.sort(key=lambda t: (-counts[t], text(t)))
+    ranked = sorted(counts, key=lambda t: (-counts[t], text(t)))
+    total = sum(counts.values())
+    keep = [t for t in ranked if counts[t] / total >= threshold] or ranked[:1]
     return tuple(keep), "-".join(map(text, keep))
 
 
@@ -547,7 +544,6 @@ def train(corpus: Corpus, config: TaggerConfig = TaggerConfig()) -> TaggerModel:
 # `_write_model` and `_read_model` are the only code that knows the layout.
 
 _U32 = struct.Struct("<I")
-_COLUMN_HEAD = struct.Struct("<BI")  # element width, element count
 _COLUMN_TYPES = {1: "B", 2: "H", 4: "I"}  # array typecode per width
 _SWAP = sys.byteorder == "big"  # columns are little-endian in the file
 # threshold, route numerals to unknown, fallback tag, has closed classes
@@ -556,20 +552,26 @@ _CONFIG = struct.Struct("<dBIB")
 
 def _column(values: Sequence[int]) -> bytes:
     """Element width (1, 2 or 4 bytes, the smallest that holds the largest
-    value), element count, then the values little-endian."""
+    value), then the values little-endian. The count is not stored: the
+    reader knows it."""
     top = max(values, default=0)
     width = 1 if top < 1 << 8 else 2 if top < 1 << 16 else 4
     col = array(_COLUMN_TYPES[width], values)
     if _SWAP:
         col.byteswap()
-    return _COLUMN_HEAD.pack(width, len(col)) + col.tobytes()
+    return bytes((width,)) + col.tobytes()
 
 
 def _texts(texts: Sequence[str]) -> bytes:
-    """A column of code-point lengths, then the UTF-8 byte count and bytes
-    of all texts joined."""
-    blob = "".join(texts).encode("utf-8")
-    return _column([len(t) for t in texts]) + _U32.pack(len(blob)) + blob
+    """The UTF-8 byte count, then the texts, each ended by "\n". A text
+    that contains "\n" is refused with StructureError: no corpus word, tag
+    or letter holds one, since corpus and tag input split lines at it."""
+    joined = "\n".join([*texts, ""])
+    if joined.count("\n") != len(texts):
+        bad = next(t for t in texts if "\n" in t)
+        raise StructureError(f"text {bad!r} contains a newline")
+    blob = joined.encode("utf-8")
+    return _U32.pack(len(blob)) + blob
 
 
 def _node_u32s(node: IGTreeNode, ints: list[int]) -> None:
@@ -584,11 +586,12 @@ def _node_u32s(node: IGTreeNode, ints: list[int]) -> None:
 
 
 def _write_model(model: TaggerModel) -> bytes:
-    """The model file, version 4. Integers are little-endian u32 unless
+    """The model file, version 5. Integers are little-endian u32 unless
     marked; a column is `_column`'s, texts are `_texts`'.
 
         header     b"MBT1", u16 version
-        interner   every symbol (feature value) text in id order, as texts
+        interner   every symbol (feature value) text in id order after the
+                   two markers (`Interner.from_table` adds them), as texts
         config     f64 threshold, u8 route numbers to unknown, fallback
                    tag, u8 has closed classes (0 or 1); if 1, the sorted
                    closed-class tags as texts
@@ -609,7 +612,7 @@ def _write_model(model: TaggerModel) -> bytes:
     closed = config.closed_class_tags
     out = bytearray(MAGIC)
     out += struct.pack("<H", FORMAT_VERSION)
-    out += _texts(list(interner))
+    out += _texts(list(interner)[2:])
     out += _CONFIG.pack(config.threshold, config.route_numbers_to_unknown,
                         model.fallback_tag, closed is not None)
     if closed is not None:
@@ -648,14 +651,14 @@ def _flag(byte: int) -> bool:
     return byte == 1
 
 
-def _read_column(buf: bytes, off: int) -> tuple[array, int]:
-    """Inverse of `_column`; a width wider than the values need is
-    rejected, so that a column has one encoding."""
-    width, n = _COLUMN_HEAD.unpack_from(buf, off)
+def _read_column(buf: bytes, off: int, n: int) -> tuple[array, int]:
+    """Inverse of `_column`, for a column of `n` values; a width wider than
+    the values need is rejected, so that a column has one encoding."""
+    width = buf[off]
     typecode = _COLUMN_TYPES.get(width)
     if typecode is None:
         raise ModelFormatError(f"column width {width} is not 1, 2 or 4")
-    start = off + _COLUMN_HEAD.size
+    start = off + 1
     off = start + width * n
     if off > len(buf):
         raise ModelFormatError("truncated column")
@@ -671,17 +674,17 @@ def _read_column(buf: bytes, off: int) -> tuple[array, int]:
 
 
 def _read_texts(buf: bytes, off: int) -> tuple[list[str], int]:
-    lengths, off = _read_column(buf, off)
+    """Inverse of `_texts`: the texts are split at "\n" only."""
     (size,) = _U32.unpack_from(buf, off)
     start = off + 4
     off = start + size
     if off > len(buf):
-        raise ModelFormatError("truncated text blob")
-    blob = buf[start:off].decode("utf-8")
-    if sum(lengths) != len(blob):
-        raise ModelFormatError("text lengths do not add up to the text blob")
-    bounds = list(accumulate(lengths, initial=0))
-    return [blob[a:b] for a, b in zip(bounds, bounds[1:])], off
+        raise ModelFormatError("truncated text list")
+    if size == 0:
+        return [], off
+    if buf[off - 1] != ord("\n"):
+        raise ModelFormatError("text list does not end with a newline")
+    return buf[start:off - 1].decode("utf-8").split("\n"), off
 
 
 def _read_lexicon(buf: bytes, off: int, interner: Interner,
@@ -690,12 +693,9 @@ def _read_lexicon(buf: bytes, off: int, interner: Interner,
     tag is recomputed as `lexicon_from_tag_counts` computes it, interning
     nothing."""
     words, off = _read_texts(buf, off)
-    n_tags, off = _read_column(buf, off)
-    tag_ids, off = _read_column(buf, off)
-    counts, off = _read_column(buf, off)
-    if not (len(words) == len(n_tags)
-            and sum(n_tags) == len(tag_ids) == len(counts)):
-        raise ModelFormatError("lexicon column lengths disagree")
+    n_tags, off = _read_column(buf, off, len(words))
+    tag_ids, off = _read_column(buf, off, sum(n_tags))
+    counts, off = _read_column(buf, off, len(tag_ids))
     if max(tag_ids, default=0) >= len(interner):
         raise ModelFormatError("lexicon tag id is not a symbol")
     if 0 in n_tags or 0 in counts:
@@ -731,10 +731,13 @@ def _read_node(buf: bytes, off: int, depth_left: int, n_symbols: int
 
 def _read_tree(buf: bytes, off: int, weights: FeatureWeights, n_symbols: int
                ) -> tuple[IGTree | None, int]:
-    """A tree that tests its features in the order of its gains, `weights`."""
+    """A tree that tests its features in the order of its gains, `weights`,
+    and holds a case: `build` refuses an empty base."""
     if not _flag(buf[off]):
         return None, off + 1
     (case_count,) = _U32.unpack_from(buf, off + 1)
+    if case_count == 0:
+        raise ModelFormatError("tree with no cases")
     order = feature_order(weights)
     root, off = _read_node(buf, off + 5, len(order), n_symbols)
     return IGTree(root, order, case_count), off
@@ -762,7 +765,7 @@ def _read_model(buf: bytes) -> TaggerModel:
     try:
         texts, off = _read_texts(body, 6)
         interner = Interner.from_table(texts)
-        n_symbols = len(texts)
+        n_symbols = len(interner)
         threshold, route_numbers, fallback, has_closed = (
             _CONFIG.unpack_from(body, off))
         off += _CONFIG.size

@@ -104,36 +104,40 @@ def with_crc(data):
 
 def column(values, width=None):
     """A column of the model file: its element width (by default the
-    smallest of 1, 2 and 4 bytes that holds the values), its length, then
-    the values little-endian."""
+    smallest of 1, 2 and 4 bytes that holds the values), then the values
+    little-endian. The file stores no count."""
     if width is None:
         top = max(values, default=0)
         width = 1 if top < 1 << 8 else 2 if top < 1 << 16 else 4
     code = {1: "B", 2: "H", 4: "I"}[width]
-    return struct.pack(f"<BI{len(values)}{code}", width, len(values), *values)
+    return struct.pack(f"<B{len(values)}{code}", width, *values)
 
 
 def text_table(texts):
-    """A text list of the model file (the interner, the closed-class tags,
-    the lexicon's words): a column of code-point lengths, then the UTF-8
-    byte count and bytes of the texts."""
-    blob = "".join(texts).encode("utf-8")
-    return column([len(t) for t in texts]) + struct.pack("<I", len(blob)) + blob
+    """A text list of the model file (the interner after its two markers,
+    the closed-class tags, the lexicon's words): the UTF-8 byte count, then
+    the texts, each ended by a newline."""
+    blob = "".join(t + "\n" for t in texts).encode("utf-8")
+    return struct.pack("<I", len(blob)) + blob
+
+
+def interner_table(model):
+    """The interner section of `model`'s file: its texts after the two
+    markers, which the file does not store."""
+    return text_table(list(model.interner)[2:])
 
 
 def config_offset(model):
     """Where the config section starts: after the header and the interner."""
-    return 6 + len(text_table(list(model.interner)))
+    return 6 + len(interner_table(model))
 
 
 def lexicon_columns(model):
     """What the lexicon section of a model file stores, as lists: the
     words, tags per word, then every word's tag ids and counts."""
-    entries = model.lexicon.entries.values()
-    return (list(model.lexicon.entries),
-            [len(e.tag_counts) for e in entries],
-            [t for e in entries for t in e.tag_counts],
-            [n for e in entries for n in e.tag_counts.values()])
+    lexicon = model.lexicon
+    return (list(lexicon.tags), list(lexicon.n_tags), list(lexicon.tag_ids),
+            list(lexicon.counts))
 
 
 def lexicon_section(words, *columns):

@@ -316,9 +316,9 @@ def test_model_bytes_pinned(model_100k, synth_100k, synth_medium):
     def sha1(model):
         return hashlib.sha1(model.to_bytes()).hexdigest()
 
-    assert sha1(model_100k) == "d6b27f168eedf44540f8266622e8011356371874"
+    assert sha1(model_100k) == "70694fcc38bc3080d8306a7c57fa7f9a718f60e1"
     assert (sha1(train(synth_100k, NON_DEFAULT))
-            == "1b0aaeea6a29c265d7da7b2aa22869ada01e2f4a")
-    assert sha1(train(synth_medium)) == "3e02ff851b938b10bd92d9bec90d02747739af81"
+            == "e5347a4eb3987723e87c28ca96665751bf0b9cff")
+    assert sha1(train(synth_medium)) == "0a1a22a31ddda6e4bb6436ca74a2345dd70945ef"
     assert (sha1(train(synth_medium, NON_DEFAULT))
-            == "83908c4a55857a597b20df300c0ddbac79a98b04")
+            == "d2b1d09b9c0cc8d2b024bfc7257f670fcfd76057")

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import (F1_PATH, chained_known_tree_model, config_offset,
                       count_lexical_entries, f1_model_with_lexicon,
-                      lexicon_columns, lexicon_section, text_table,
+                      lexicon_columns, lexicon_section,
                       tree_header, tree_start, with_crc)
 from memtag.cli import main
 from memtag.corpus import read_corpus, write_corpus
@@ -187,20 +187,22 @@ def test_tag_malformed_model_exits_3(data, message, tmp_path, capsys):
 
 
 def test_v1_model_rejected(tmp_path, capsys):
-    """Version 1, 2 and 3 files are refused by their version, before the
-    CRC is read, with a message that says to retrain."""
+    """Version 1 to 4 files are refused by their version, before the CRC
+    is read, with a message that says to retrain."""
     # each header, then the start of that version's interner table: "=" and
-    # "UNK-A", as v1's count and length-prefixed texts, as v2's and v3's
-    # text list
+    # "UNK-A", as v1's count and length-prefixed texts, as the text list of
+    # v2 to v4 (a column of code-point lengths, then the byte count and the
+    # texts joined)
+    text_list = struct.pack("<BI2BI", 1, 2, 1, 5, 6) + b"=UNK-A"
     old = {1: struct.pack("<II", 2, 1) + b"=" + struct.pack("<I", 5)
            + b"UNK-A",
-           2: text_table(["=", "UNK-A"]), 3: text_table(["=", "UNK-A"])}
+           2: text_list, 3: text_list, 4: text_list}
     inp = tmp_path / "in.txt"
     inp.write_text("the cat .\n")
     for version, interner in old.items():
         data = b"MBT1" + struct.pack("<H", version) + interner
         with pytest.raises(ModelFormatError,
-                           match=f"version {version} .*version 4.*retrain"):
+                           match=f"version {version} .*version 5.*retrain"):
             TaggerModel.from_bytes(data)
         bad = tmp_path / f"v{version}.model"
         bad.write_bytes(data)

@@ -8,15 +8,16 @@ from conftest import (LEAF, PV_LEXICON, PV_SENTENCE, chained_known_tree_model,
                       column, config_offset, count_known_route_tags,
                       count_lexical_entries,
                       f1_model_with_known_nodes,
-                      f1_model_with_lexicon, fingerprint, lexicon_columns,
-                      lexicon_section, text_table, texts, with_crc)
+                      f1_model_with_lexicon, fingerprint, interner_table,
+                      lexicon_columns, lexicon_section, text_table, texts,
+                      tree_start, with_crc)
 from memtag.corpus import Corpus, parse_corpus
 from memtag.errors import ModelFormatError, ParameterError, StructureError
 from memtag.evaluation import compare_algorithms, evaluate
 from memtag.igtree import feature_order, stats
 from memtag.interning import BOUNDARY, UNKNOWN_MARK, Interner
 from memtag.taggen import (Lexicon, TaggerConfig, TaggerModel, _lexicon_tag,
-                           build_lexicon, extract_known_cases,
+                           _read_texts, _texts, build_lexicon, extract_known_cases,
                            extract_unknown_cases, is_number,
                            known_route_tags, lexicon_from_tag_counts, train)
 from memtag.synth import SynthConfig, synth_corpus
@@ -484,12 +485,12 @@ def test_model_truncated(f1):
 
 def test_changed_content_fails_on_load(f1):
     """A flag byte other than 0/1, a repeated arc value, an interner table
-    that repeats a text or moves a marker, and a closed-class list out of
+    that repeats a text or stores a marker, and a closed-class list out of
     order would each load as a different model."""
     model = train(f1)
     data = model.to_bytes()
-    texts = list(model.interner)
-    table = text_table(texts)
+    texts = list(model.interner)[2:]  # the file stores no marker
+    table = interner_table(model)
     assert data[6:6 + len(table)] == table
     flag = config_offset(model) + 13  # the has-closed-classes flag
     assert data[flag] == 0
@@ -508,10 +509,11 @@ def test_changed_content_fails_on_load(f1):
             (with_crc(data[:flag] + b"\x02" + data[flag + 1:]), "flag byte 2 "),
             (f1_model_with_known_nodes(struct.pack("<2I", 0, 2) + arc * 2),
              "repeated tree arc value"),
-            (with_table([texts[1], texts[0], *texts[2:]]),
-             "boundary and unknown markers"),
-            (with_table([*texts[:3], texts[2], *texts[4:]]),
-             "repeats a text"),
+            (with_table([BOUNDARY, *texts]), "repeats a text"),
+            (with_table([*texts, UNKNOWN_MARK]), "repeats a text"),
+            (with_table([texts[0], *texts]), "repeats a text"),
+            (with_crc(data[:5 + len(table)] + b"x" + data[6 + len(table):]),
+             "text list does not end with a newline"),
             (with_crc(closed[:tags] + text_table(["DT", "."])
                       + closed[tags + len(sorted_tags):]),
              "not sorted and distinct")):
@@ -521,9 +523,8 @@ def test_changed_content_fails_on_load(f1):
 
 def test_lexicon_checked_on_load(f1):
     """Every lexicon tag id is a symbol, every count positive, no word or
-    tag repeats, the word lengths add up to the word texts, the columns
-    agree in length and have one width each, and a recomputed lexicon tag
-    is a symbol."""
+    tag repeats, the word list ends with a newline, each column has one
+    width, and a recomputed lexicon tag is a symbol."""
     model = train(f1)
     words, n_tags, tag_ids, counts = lexicon_columns(model)
     id_of = model.interner.id_of
@@ -547,14 +548,8 @@ def test_lexicon_checked_on_load(f1):
     good = f1_model_with_lexicon(
         lexicon_section(words, n_tags, tag_ids, counts))
     assert good == model.to_bytes()
-    blob = "".join(words).encode("utf-8")
-    long_first = [len(words[0]) + 1, *map(len, words[1:])]
     nn, dt = id_of("NN"), id_of("DT")
     for bad_section, message in (
-            (lexicon_section(words, n_tags, tag_ids, counts[:-1]),
-             "column lengths disagree"),
-            (lexicon_section(words[:-1], n_tags, tag_ids, counts),
-             "column lengths disagree"),
             (lexicon_section(words, n_tags, replaced(tag_ids, j, n_symbols),
                              counts),
              "tag id is not a symbol"),
@@ -566,14 +561,12 @@ def test_lexicon_checked_on_load(f1):
              "repeats a word"),
             (cat_tags([nn, nn]), "'cat' repeats a tag"),
             (cat_tags([nn, dt]), "'DT-NN' of 'cat' is not a symbol"),
-            (column(long_first) + struct.pack("<I", len(blob)) + blob
-             + columns(n_tags, tag_ids, counts),
-             "text lengths do not add up"),
+            (text_table(words)[:-1] + b" " + columns(n_tags, tag_ids, counts),
+             "text list does not end with a newline"),
             (text_table(words) + column(n_tags, width=2)
              + columns(tag_ids, counts),
              "width 2 is wider than its values"),
-            (text_table(words) + struct.pack("<BI", 3, 0)
-             + columns(tag_ids, counts),
+            (text_table(words) + b"\x03" + columns(tag_ids, counts),
              "width 3 is not 1, 2 or 4")):
         with pytest.raises(ModelFormatError, match=message):
             TaggerModel.from_bytes(f1_model_with_lexicon(bad_section))
@@ -585,6 +578,19 @@ def test_tree_deeper_than_arity_fails_on_load():
     for depth in (5, 3000):
         with pytest.raises(ModelFormatError, match="below the last feature"):
             TaggerModel.from_bytes(chained_known_tree_model(depth))
+
+
+def test_tree_without_cases_fails_on_load(f1):
+    """`build` refuses an empty base, so a stored case count of 0 (CRC
+    recomputed) is refused on load, for either tree."""
+    model = train(f1)
+    data = model.to_bytes()
+    for tree in (model.known_tree, model.unknown_tree):
+        start = tree_start(model, tree)
+        assert data[start:start + 4] == struct.pack("<I", tree.case_count)
+        patched = with_crc(data[:start] + bytes(4) + data[start + 4:])
+        with pytest.raises(ModelFormatError, match="tree with no cases"):
+            TaggerModel.from_bytes(patched)
 
 
 def test_tree_order_follows_gains(f1):
@@ -646,6 +652,73 @@ def test_write_refuses_gains_of_the_wrong_length(f1):
                               m.fallback_tag)
             with pytest.raises(StructureError, match=message):
                 bad.to_bytes()
+
+
+def test_write_refuses_a_newline_in_the_interner_or_a_word(f1):
+    """A text list splits at newlines, so the writer refuses one in an
+    interner text or a lexicon word (a closed-class tag: below)."""
+    m = train(f1)
+    interner = Interner.from_table([*list(m.interner)[2:], "x\ny"])
+    lexicon = lexicon_from_tag_counts(
+        {"a\nb": {"NN": 1}}, Interner.from_table(list(m.interner)[2:]))
+    for interner, lexicon in ((interner, m.lexicon), (m.interner, lexicon)):
+        bad = TaggerModel(interner, lexicon, m.config, m.known_weights,
+                          m.unknown_weights, m.known_tree, m.unknown_tree,
+                          m.fallback_tag)
+        with pytest.raises(StructureError, match="contains a newline"):
+            bad.to_bytes()
+
+
+# Texts without a newline: any code point but "\n" and the surrogates,
+# with the empty text, "\r", U+2028 and an astral code point drawn often.
+line_text = st.one_of(
+    st.sampled_from(["", "\r", "\u2028", "\U0001d518"]),
+    st.text(st.characters(codec="utf-8", exclude_characters="\n")))
+line_texts = st.lists(line_text)
+
+
+@pytest.fixture(scope="module")
+def f1_model(f1):
+    return train(f1)
+
+
+@given(line_texts, st.binary(max_size=3), st.binary(max_size=3))
+def test_text_list_round_trips(texts, before, after):
+    data = before + _texts(texts) + after
+    assert _read_texts(data, len(before)) == (texts, len(data) - len(after))
+
+
+@given(line_texts, st.text(), st.text(), st.integers(0, 50))
+def test_text_with_a_newline_is_refused(f1_model, texts, head, tail, at):
+    bad = head + "\n" + tail
+    with pytest.raises(StructureError, match="contains a newline"):
+        _texts([*texts[:at], bad, *texts[at:]])
+    m = f1_model
+    config = TaggerConfig(closed_class_tags=frozenset([*texts, bad]))
+    with pytest.raises(StructureError, match="contains a newline"):
+        TaggerModel(m.interner, m.lexicon, config, m.known_weights,
+                    m.unknown_weights, m.known_tree, m.unknown_tree,
+                    m.fallback_tag).to_bytes()
+
+
+@given(st.lists(line_text, min_size=1), st.data())
+def test_cut_or_unterminated_text_list_is_refused(texts, data):
+    full = _texts(texts)
+    cut = full[:data.draw(st.integers(4, len(full) - 1))]
+    with pytest.raises(ModelFormatError, match="truncated text list"):
+        _read_texts(cut, 0)
+    last = data.draw(st.integers(0, 255).filter(lambda b: b != ord("\n")))
+    with pytest.raises(ModelFormatError, match="does not end with a newline"):
+        _read_texts(full[:-1] + bytes([last]), 0)
+
+
+@given(line_texts, st.sampled_from([BOUNDARY, UNKNOWN_MARK]), st.data())
+def test_stored_marker_is_a_repeated_symbol(texts, marker, data):
+    texts = list(dict.fromkeys(texts))  # distinct, as an interner's are
+    Interner.from_table(t for t in texts if t not in (BOUNDARY, UNKNOWN_MARK))
+    at = data.draw(st.integers(0, len(texts)))
+    with pytest.raises(ValueError, match="repeats a text"):
+        Interner.from_table([*texts[:at], marker, *texts[at:]])
 
 
 def test_tree_section_size_is_stats_serialized_bytes(f1):
