@@ -14,8 +14,8 @@ import sys
 import time
 
 from . import evaluation
-from .corpus import Corpus, read_corpus
-from .errors import ModelFormatError, ParameterError
+from .corpus import Corpus, decode_utf8, read_corpus
+from .errors import CorpusParseError, ModelFormatError, ParameterError
 from .taggen import TaggerConfig, TaggerModel, train
 
 EXIT_OK = 0
@@ -29,12 +29,27 @@ def _require_file(path: str) -> None:
         raise ParameterError(f"no such file: {path}")
 
 
+def _read_text(path: str | None) -> str:
+    """A UTF-8 input file, read as text mode reads it, or for None standard
+    input, whose "\r"s stay as sys.stdin keeps them. A byte that is not
+    UTF-8 is a ParameterError naming the file and the line."""
+    if path is None:
+        path, data, newline = "<stdin>", sys.stdin.buffer.read(), "\n"
+    else:
+        _require_file(path)
+        with open(path, "rb") as fh:
+            data, newline = fh.read(), None
+    try:
+        return decode_utf8(data, newline)
+    except CorpusParseError as exc:
+        raise ParameterError(f"{path}: {exc}") from None
+
+
 def _tagger_config(args: argparse.Namespace) -> TaggerConfig:
     closed = None
     if args.closed_class:
-        _require_file(args.closed_class)
-        with open(args.closed_class, encoding="utf-8") as fh:
-            closed = frozenset(line.strip() for line in fh if line.strip())
+        lines = _read_text(args.closed_class).split("\n")
+        closed = frozenset(line.strip() for line in lines if line.strip())
     return TaggerConfig(threshold=args.threshold, closed_class_tags=closed)
 
 
@@ -63,12 +78,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_tag(args: argparse.Namespace) -> int:
     _require_file(args.model)
     model = TaggerModel.load(args.model)
-    if args.input is None:
-        data = sys.stdin.read()
-    else:
-        _require_file(args.input)
-        with open(args.input, encoding="utf-8") as fh:
-            data = fh.read()
+    data = _read_text(args.input)
     # one sentence per "\n"-separated line, as in parse_corpus
     lines = data.removesuffix("\n").split("\n")
     out_lines = []

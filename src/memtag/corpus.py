@@ -72,6 +72,9 @@ def parse_corpus(text: str) -> Corpus:
     # Token's own constructor is a Python-level function; tuple.__new__
     # builds the same Token without that call.
     new_tuple = tuple.__new__
+    # One str object per distinct word or tag text: each token otherwise
+    # holds its own copies. The dict lives for this call only.
+    share = {}.setdefault
     # "\n" only: str.splitlines() also splits at form feeds, U+2028 and
     # other separators that a user's text editor shows inside one line.
     for line_no, line in enumerate(text.split("\n"), start=1):
@@ -84,16 +87,31 @@ def parse_corpus(text: str) -> Corpus:
                 problem = ("has an empty word or tag" if sep
                            else "has no word/tag separator")
                 raise CorpusParseError(f"token {item!r} {problem}", line_no)
-            sent.append(new_tuple(Token, (word, tag)))
+            sent.append(new_tuple(Token, (share(word, word), share(tag, tag))))
         sentences.append(sent)
     if not sentences:
         raise EmptyCorpusError("corpus contains no sentences")
     return Corpus(sentences)
 
 
+def decode_utf8(data: bytes, newline: str | None = None) -> str:
+    """`data` as UTF-8 text. With `newline=None`, "\r\n" and "\r" read as
+    "\n", as a file opened in text mode reads them; with "\n", as is. A
+    byte that is not UTF-8 raises CorpusParseError with its 1-based line."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = decode_utf8(data[:exc.start], newline)
+        raise CorpusParseError(f"byte 0x{data[exc.start]:02x} is not UTF-8",
+                               before.count("\n") + 1) from None
+    if newline is None:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
 def read_corpus(path: str) -> Corpus:
-    with open(path, encoding="utf-8") as fh:
-        return parse_corpus(fh.read())
+    with open(path, "rb") as fh:
+        return parse_corpus(decode_utf8(fh.read()))
 
 
 def format_corpus(corpus: Corpus) -> str:

@@ -112,6 +112,9 @@ def synth_corpus(config: SynthConfig = SynthConfig()) -> Corpus:
         transitions[tag] = _Sampler(succ, weights)
     start = _Sampler(chain_tags, [rng.random() + 0.2 for _ in chain_tags])
 
+    # Token's own constructor is a Python-level function; tuple.__new__
+    # builds the same Token without that call, as in parse_corpus.
+    new_tuple = tuple.__new__
     sentences: list[Sentence] = []
     total = 0
     while total < config.n_tokens:
@@ -120,14 +123,14 @@ def synth_corpus(config: SynthConfig = SynthConfig()) -> Corpus:
         tag = start.draw(rng)
         for _ in range(length):
             if tag == "CD" or rng.random() < NUMBER_PROB:
-                sent.append(Token(_number_form(rng), "CD"))
+                sent.append(new_tuple(Token, (_number_form(rng), "CD")))
             elif tag not in emitters:
                 raise ParameterError(f"too few types: none bears tag {tag!r}")
             else:
                 idx = emitters[tag].draw(rng)
-                sent.append(Token(type_forms[idx], tag))
+                sent.append(new_tuple(Token, (type_forms[idx], tag)))
             tag = transitions[tag].draw(rng)
-        sent.append(Token(".", "."))
+        sent.append(new_tuple(Token, (".", ".")))
         sentences.append(sent)
         total += len(sent)
     return Corpus(sentences)

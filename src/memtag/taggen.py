@@ -514,6 +514,15 @@ class TaggerModel:
             return cls.from_bytes(fh.read())
 
 
+def _fit(base: CaseBase, arity: int
+         ) -> tuple[FeatureWeights, IGTree | None]:
+    """A base's gains and pruned tree; zero gains and no tree when empty."""
+    if not base:
+        return (0.0,) * arity, None
+    weights = information_gains(base)
+    return weights, prune(build(base, weights))
+
+
 @collector_paused
 def train(corpus: Corpus, config: TaggerConfig = TaggerConfig()) -> TaggerModel:
     """Generate a complete tagger model from a tagged corpus."""
@@ -521,14 +530,13 @@ def train(corpus: Corpus, config: TaggerConfig = TaggerConfig()) -> TaggerModel:
         raise ParameterError("cannot train on an empty corpus")
     interner = Interner()
     lexicon = build_lexicon(corpus, interner, config.threshold)
-    known = extract_known_cases(corpus, lexicon, interner, config)
-    unknown = extract_unknown_cases(corpus, lexicon, interner, config)
-
-    known_weights = information_gains(known) if known else (0.0,) * KNOWN_ARITY
-    unknown_weights = (information_gains(unknown) if unknown
-                       else (0.0,) * UNKNOWN_ARITY)
-    known_tree = prune(build(known, known_weights)) if known else None
-    unknown_tree = prune(build(unknown, unknown_weights)) if unknown else None
+    # Each base is fitted and dropped before the next is extracted, so one
+    # case base is alive at a time. Fitting interns nothing: symbol ids are
+    # those of extracting both bases first.
+    known_weights, known_tree = _fit(
+        extract_known_cases(corpus, lexicon, interner, config), KNOWN_ARITY)
+    unknown_weights, unknown_tree = _fit(
+        extract_unknown_cases(corpus, lexicon, interner, config), UNKNOWN_ARITY)
 
     # The lexicon has counted every token's tag once already.
     tag_totals: dict[int, int] = {}

@@ -1,3 +1,4 @@
+import io
 import os
 import struct
 
@@ -278,3 +279,56 @@ def test_closed_class_file(tmp_path, capsys):
     path = str(tmp_path / "m.model")
     assert main(["train", F1_PATH, "--model", path,
                  "--closed-class", str(closed)]) == 0
+
+
+NOT_UTF8 = b"the/DT cat/NN ./.\n\xff/NN ./.\n"
+
+
+def test_train_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, capsys):
+    corpus = tmp_path / "bad.tagged"
+    corpus.write_bytes(NOT_UTF8)
+    assert main(["train", str(corpus), "--model", str(tmp_path / "m")]) == 2
+    assert capsys.readouterr().err == (
+        "error: line 2: byte 0xff is not UTF-8\n")
+
+
+def test_eval_names_the_line_of_a_byte_that_is_not_utf8(model_path, tmp_path,
+                                                       capsys):
+    corpus = tmp_path / "bad.tagged"
+    corpus.write_bytes(NOT_UTF8)
+    assert main(["eval", str(corpus), "--model", model_path]) == 2
+    assert capsys.readouterr().err == (
+        "error: line 2: byte 0xff is not UTF-8\n")
+
+
+def test_tag_names_the_file_and_line_of_a_byte_that_is_not_utf8(
+        model_path, tmp_path, capsys, monkeypatch):
+    inp = tmp_path / "in.txt"
+    inp.write_bytes(b"the cat .\r\n\xc3\xa9 .\n\xe2\x82 .\n")
+    assert main(["tag", str(inp), "--model", model_path]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {inp}: line 3: byte 0xe2 is not UTF-8\n")
+    # standard input counts "\n" only, as it is read without translation
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
+        io.BytesIO(b"the cat .\r\xff .\n")))
+    assert main(["tag", "--model", model_path]) == 2
+    assert capsys.readouterr().err == (
+        "error: <stdin>: line 1: byte 0xff is not UTF-8\n")
+
+
+def test_closed_class_file_names_the_line_of_a_byte_that_is_not_utf8(
+        tmp_path, capsys):
+    closed = tmp_path / "closed.txt"
+    closed.write_bytes(b"DT\n.\nIN\xff\n")
+    assert main(["train", F1_PATH, "--model", str(tmp_path / "m"),
+                 "--closed-class", str(closed)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {closed}: line 3: byte 0xff is not UTF-8\n")
+
+
+def test_tag_reads_standard_input(model_path, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
+        io.BytesIO(b"the cat saw the saw .\n")))
+    assert main(["tag", "--model", model_path]) == 0
+    assert capsys.readouterr().out == (
+        "the/DT cat/NN saw/VBD the/DT saw/NN ./.\n")

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from memtag.corpus import (Corpus, Token, cv_folds, format_corpus,
-                           parse_corpus, split)
+                           parse_corpus, read_corpus, split)
 from memtag.errors import CorpusParseError, EmptyCorpusError, ParameterError
 
 
@@ -65,6 +65,32 @@ def test_lines_split_at_newline_only():
     with pytest.raises(CorpusParseError, match="line 2: token 'bad'") as exc:
         parse_corpus("a/X\x0cb/Y\nbad")
     assert exc.value.line_no == 2
+
+
+@pytest.mark.parametrize("corpus", ["synth_small", "f1"])
+def test_parse_holds_one_object_per_distinct_text(corpus, request):
+    """Every token with the same word shares one str object, and so does
+    every token with the same tag."""
+    parsed = parse_corpus(format_corpus(request.getfixturevalue(corpus)))
+    tokens = [tok for sent in parsed.sentences for tok in sent]
+    for field in ("word", "tag"):
+        values = [getattr(tok, field) for tok in tokens]
+        assert len(set(map(id, values))) == len(set(values)) < len(values)
+
+
+def test_read_corpus_names_the_line_of_a_byte_that_is_not_utf8(tmp_path):
+    """Lines count as a text-mode read counts them: "\r\n" and "\r" end a
+    line too."""
+    path = tmp_path / "bad.tagged"
+    path.write_bytes(b"a/A\r\nb/B\rc/C\n\xc3\xa9/D \xff/E\n")
+    with pytest.raises(CorpusParseError) as exc:
+        read_corpus(str(path))
+    assert exc.value.line_no == 4
+    assert str(exc.value) == "line 4: byte 0xff is not UTF-8"
+    path.write_bytes(b"a/A\r\nb/B\rc/C\n\xc3\xa9/D\n")
+    assert read_corpus(str(path)).sentences == [
+        [Token("a", "A")], [Token("b", "B")], [Token("c", "C")],
+        [Token("\u00e9", "D")]]
 
 
 def test_blank_lines_skipped():

@@ -1,5 +1,6 @@
 import random
 import struct
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,7 @@ from conftest import (LEAF, PV_LEXICON, PV_SENTENCE, chained_known_tree_model,
                       f1_model_with_lexicon, fingerprint, interner_table,
                       lexicon_columns, lexicon_section, text_table, texts,
                       tree_start, with_crc)
+from memtag import taggen
 from memtag.corpus import Corpus, parse_corpus
 from memtag.errors import ModelFormatError, ParameterError, StructureError
 from memtag.evaluation import compare_algorithms, evaluate
@@ -266,6 +268,33 @@ def test_summary_reports_empty_trees():
         assert f"{name} tree: empty" in lines
         loaded = TaggerModel.from_bytes(model.to_bytes())
         assert loaded.summary().splitlines() == lines
+
+
+def test_train_holds_one_case_base_at_a_time(synth_small, monkeypatch):
+    """train() has dropped the known base before it extracts the unknown
+    one, and the model is the one it trained before the watch."""
+    class WatchedBase(taggen.CaseBase):
+        __slots__ = ("__weakref__",)
+
+    bases, alive = [], []
+    extract_known, extract_unknown = (taggen.extract_known_cases,
+                                      taggen.extract_unknown_cases)
+
+    def watched_known(*args):
+        base = extract_known(*args)
+        bases.append(weakref.ref(base))
+        return base
+
+    def watched_unknown(*args):
+        alive.append([ref() is not None for ref in bases])
+        return extract_unknown(*args)
+
+    expected = train(synth_small).to_bytes()
+    monkeypatch.setattr(taggen, "CaseBase", WatchedBase)
+    monkeypatch.setattr(taggen, "extract_known_cases", watched_known)
+    monkeypatch.setattr(taggen, "extract_unknown_cases", watched_unknown)
+    assert train(synth_small).to_bytes() == expected
+    assert alive == [[False]]
 
 
 def test_train_determinism(f1):
