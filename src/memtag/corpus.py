@@ -7,6 +7,7 @@ with embedded slashes unambiguous: "1/2/CD" is the word "1/2" tagged "CD".
 
 from __future__ import annotations
 
+import codecs
 import functools
 import gc
 import random
@@ -95,9 +96,12 @@ def parse_corpus(text: str) -> Corpus:
 
 
 def decode_utf8(data: bytes, newline: str | None = None) -> str:
-    """`data` as UTF-8 text. With `newline=None`, "\r\n" and "\r" read as
-    "\n", as a file opened in text mode reads them; with "\n", as is. A
-    byte that is not UTF-8 raises CorpusParseError with its 1-based line."""
+    """`data` as UTF-8 text, without a leading byte order mark. With
+    `newline=None`, "\r\n" and "\r" read as "\n", as a file opened in text
+    mode reads them; with "\n", as is. A byte that is not UTF-8 raises
+    CorpusParseError with its 1-based line."""
+    # Not the utf-8-sig codec: its error offsets would not index `data`.
+    data = data.removeprefix(codecs.BOM_UTF8)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -5,8 +5,8 @@ order), so a path is a gain-ranked prefix of a case. Construction stops a
 path as soon as the remaining cases agree on a class; the lower-gain feature
 values of those cases are never stored. Every node keeps the majority class
 of the cases under it as its default, which is the answer whenever traversal
-falls off the tree. Retrieval therefore costs at most arity+1 node visits no
-matter how many cases were stored.
+falls off the tree; a leaf is a node without arcs. Retrieval therefore
+costs at most arity+1 node visits no matter how many cases were stored.
 """
 
 from __future__ import annotations
@@ -21,11 +21,11 @@ from .metrics import FeatureWeights
 
 
 class IGTreeNode:
-    """One trie node: default class plus value-labeled arcs (None = leaf)."""
+    """One trie node: default class plus value-labeled arcs (empty = leaf)."""
 
     __slots__ = ("default", "arcs")
 
-    def __init__(self, default: int, arcs: dict[int, "IGTreeNode"] | None):
+    def __init__(self, default: int, arcs: dict[int, "IGTreeNode"]):
         self.default = default
         self.arcs = arcs
 
@@ -44,10 +44,7 @@ class IGTree:
         """Walk arcs in gain order; answer the last default on a miss."""
         node = self.root
         for i in self.feature_order:
-            arcs = node.arcs
-            if arcs is None:
-                return node.default
-            child = arcs.get(query[i])
+            child = node.arcs.get(query[i])
             if child is None:
                 return node.default
             node = child
@@ -63,7 +60,7 @@ class IGTree:
         steps: list[tuple[int, int, bool, int]] = []
         node = self.root
         for i in self.feature_order:
-            if node.arcs is None:
+            if not node.arcs:
                 break
             child = node.arcs.get(query[i])
             steps.append((i, query[i], child is not None, node.default))
@@ -99,7 +96,7 @@ def _build(items: list[tuple[Vector, ClassDistribution]],
     # Ambiguity counts distinct classes, so two identical vectors with
     # different targets keep a subset ambiguous.
     if len(totals) == 1 or depth == len(order):
-        return IGTreeNode(default, None)
+        return IGTreeNode(default, {})
     feat = order[depth]
     groups: dict[int, list[tuple[Vector, ClassDistribution]]] = {}
     for item in items:
@@ -127,15 +124,12 @@ def prune(tree: IGTree) -> IGTree:
 
 
 def _prune(node: IGTreeNode) -> IGTreeNode:
-    if node.arcs is None:
-        return IGTreeNode(node.default, None)
     arcs: dict[int, IGTreeNode] = {}
     for value, child in node.arcs.items():
         pruned = _prune(child)
-        if pruned.arcs is None and pruned.default == node.default:
-            continue
-        arcs[value] = pruned
-    return IGTreeNode(node.default, arcs or None)
+        if pruned.arcs or pruned.default != node.default:
+            arcs[value] = pruned
+    return IGTreeNode(node.default, arcs)
 
 
 @dataclass
@@ -158,22 +152,16 @@ def stats(tree: IGTree) -> TreeStats:
     file: case count, then per node its default and arc count, and per arc
     its value, one u32 each. The expanded baseline is the flat store of all
     trained cases at one u32 per feature-or-target slot."""
-    nodes = leaves = arcs = 0
-    histogram: dict[int, int] = {}
-    stack = [(tree.root, 0)]
-    max_depth = 0
-    while stack:
-        node, depth = stack.pop()
-        nodes += 1
-        histogram[depth] = histogram.get(depth, 0) + 1
-        max_depth = max(max_depth, depth)
-        if node.arcs is None:
-            leaves += 1
-        else:
-            arcs += len(node.arcs)
-            for child in node.arcs.values():
-                stack.append((child, depth + 1))
+    histogram: dict[int, int] = {}  # depth -> nodes, one level at a time
+    leaves = 0
+    level = [tree.root]
+    while level:
+        histogram[len(histogram)] = len(level)
+        leaves += sum(not node.arcs for node in level)
+        level = [child for node in level for child in node.arcs.values()]
+    nodes = sum(histogram.values())
+    arcs = nodes - 1  # every node but the root hangs from one arc
     serialized = 4 + 8 * nodes + 4 * arcs
     expanded = tree.case_count * (tree.arity + 1) * 4
-    return TreeStats(nodes, leaves, arcs, max_depth, histogram, serialized,
-                     expanded)
+    return TreeStats(nodes, leaves, arcs, len(histogram) - 1, histogram,
+                     serialized, expanded)

@@ -285,12 +285,10 @@ def extract_known_cases(corpus: Corpus, lexicon: Lexicon, interner: Interner,
         corpus, lexicon, interner, config, strict=True))
 
 
-def _letter_slots(word: str, interner: Interner, strict: bool) -> tuple[int, int, int, int]:
-    """(first, 3rd-last, 2nd-last, last) letter symbols, "=" where the word
-    is too short. In strict mode new letters are interned; otherwise unseen
-    letters map to NO_SYMBOL."""
-    look = interner.intern if strict else interner.id_of
-    boundary = interner.boundary
+def _letter_slots(word: str, look: Callable[[str], int], boundary: int
+                  ) -> tuple[int, int, int, int]:
+    """(first, 3rd-last, 2nd-last, last) letter symbols by `look` of a
+    non-empty word, `boundary` where the word is too short."""
     first = look(word[0])
     s3 = look(word[-3]) if len(word) >= 3 else boundary
     s2 = look(word[-2]) if len(word) >= 2 else boundary
@@ -326,7 +324,8 @@ def _unknown_windows(corpus: Corpus, lexicon: Lexicon, interner: Interner,
                 is_open = open_class[tag] = config.is_open_class(tag)
             if is_open:
                 first, s3, s2, s1 = letters.get(word) or letters.setdefault(
-                    word, _letter_slots(word, interner, strict=True))
+                    word, _letter_slots(word, interner.intern,
+                                        interner.boundary))
                 yield (first, d1, a, s3, s2, s1), g
             d1 = g
 
@@ -406,7 +405,7 @@ class TaggerModel:
         if gold_left is not None and len(gold_left) != len(words):
             raise ParameterError("gold_left length differs from sentence length")
         interner = self.interner
-        boundary = interner.boundary
+        boundary, letter = interner.boundary, interner.id_of
         fallback = self.fallback_tag
         known_tree, unknown_tree = self.known_tree, self.unknown_tree
         focus, right = _route(words, self._known_tags, interner)
@@ -421,7 +420,9 @@ class TaggerModel:
                         else fallback)
                 yield "known", query, pred
             else:
-                first, s3, s2, s1 = _letter_slots(w, interner, strict=False)
+                if not w:
+                    raise ParameterError(f"empty word at position {i}")
+                first, s3, s2, s1 = _letter_slots(w, letter, boundary)
                 query = (first, d1, right[i], s3, s2, s1)
                 pred = (unknown_tree.classify(query)
                         if unknown_tree is not None else fallback)
@@ -584,9 +585,6 @@ def _texts(texts: Sequence[str]) -> bytes:
 
 def _node_u32s(node: IGTreeNode, ints: list[int]) -> None:
     """Preorder: default, arc count, then per arc its value and subtree."""
-    if node.arcs is None:
-        ints += (node.default, 0)
-        return
     ints += (node.default, len(node.arcs))
     for value, child in node.arcs.items():
         ints.append(value)
@@ -722,9 +720,7 @@ def _read_node(buf: bytes, off: int, depth_left: int, n_symbols: int
     off += 8
     if default >= n_symbols:
         raise ModelFormatError(f"tree default {default} is not a symbol")
-    if n_arcs == 0:
-        return IGTreeNode(default, None), off
-    if depth_left == 0:
+    if n_arcs and depth_left == 0:
         raise ModelFormatError("tree arcs below the last feature")
     arcs: dict[int, IGTreeNode] = {}
     for _ in range(n_arcs):

@@ -160,9 +160,7 @@ def f1_model_with_lexicon(section):
 def fingerprint(tree):
     """Everything the model file stores of a tree, arc order included."""
     def node(n):
-        arcs = (None if n.arcs is None
-                else tuple((v, node(child)) for v, child in n.arcs.items()))
-        return n.default, arcs
+        return n.default, tuple((v, node(child)) for v, child in n.arcs.items())
     return tree.arity, tree.case_count, tree.feature_order, node(tree.root)
 
 

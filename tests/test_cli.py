@@ -1,3 +1,4 @@
+import codecs
 import io
 import os
 import struct
@@ -13,7 +14,7 @@ from memtag.corpus import read_corpus, write_corpus
 from memtag.errors import ModelFormatError
 from memtag.evaluation import gains_tsv as gains_tsv_text
 from memtag.synth import SynthConfig, synth_corpus
-from memtag.taggen import TaggerModel, train
+from memtag.taggen import TaggerConfig, TaggerModel, train
 
 
 @pytest.fixture
@@ -324,6 +325,31 @@ def test_closed_class_file_names_the_line_of_a_byte_that_is_not_utf8(
                  "--closed-class", str(closed)]) == 2
     assert capsys.readouterr().err == (
         f"error: {closed}: line 3: byte 0xff is not UTF-8\n")
+
+
+@pytest.mark.parametrize("bom", [b"", codecs.BOM_UTF8], ids=["plain", "bom"])
+def test_inputs_ignore_a_leading_byte_order_mark(bom, model_path, tmp_path,
+                                                 capsys, monkeypatch):
+    """A corpus, a closed-class file and tag input, from a file or from
+    standard input, read the same with or without the mark."""
+    corpus, closed = tmp_path / "c.tagged", tmp_path / "closed.txt"
+    with open(F1_PATH, "rb") as fh:
+        corpus.write_bytes(bom + fh.read())
+    closed.write_bytes(bom + b"DT\n.\n")
+    path = tmp_path / "m.model"
+    assert main(["train", str(corpus), "--model", str(path),
+                 "--closed-class", str(closed)]) == 0
+    config = TaggerConfig(closed_class_tags=frozenset({"DT", "."}))
+    assert path.read_bytes() == train(read_corpus(F1_PATH), config).to_bytes()
+    capsys.readouterr()
+    inp = tmp_path / "in.txt"
+    inp.write_bytes(bom + b"the cat saw the saw .\n")
+    assert main(["tag", str(inp), "--model", model_path]) == 0
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
+        io.BytesIO(inp.read_bytes())))
+    assert main(["tag", "--model", model_path]) == 0
+    assert capsys.readouterr().out == (
+        "the/DT cat/NN saw/VBD the/DT saw/NN ./.\n" * 2)
 
 
 def test_tag_reads_standard_input(model_path, capsys, monkeypatch):

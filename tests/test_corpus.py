@@ -1,3 +1,5 @@
+import codecs
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -91,6 +93,21 @@ def test_read_corpus_names_the_line_of_a_byte_that_is_not_utf8(tmp_path):
     assert read_corpus(str(path)).sentences == [
         [Token("a", "A")], [Token("b", "B")], [Token("c", "C")],
         [Token("\u00e9", "D")]]
+
+
+@pytest.mark.parametrize("bom", [b"", codecs.BOM_UTF8], ids=["plain", "bom"])
+def test_read_corpus_ignores_a_leading_byte_order_mark(bom, tmp_path):
+    """The mark is not part of the first word, and a byte after it that is
+    not UTF-8 is named by its own value and line."""
+    path = tmp_path / "c.tagged"
+    path.write_bytes(bom + b"the/DT cat/NN\n")
+    assert read_corpus(str(path)).sentences == [
+        [Token("the", "DT"), Token("cat", "NN")]]
+    for data, line_no in ((b"ab\xff", 1), (b"a/A\n\xff/B\n", 2)):
+        path.write_bytes(bom + data)
+        with pytest.raises(CorpusParseError) as exc:
+            read_corpus(str(path))
+        assert str(exc.value) == f"line {line_no}: byte 0xff is not UTF-8"
 
 
 def test_blank_lines_skipped():

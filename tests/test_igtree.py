@@ -10,7 +10,7 @@ from memtag.igtree import build, feature_order, prune, stats
 from memtag.interning import Interner
 from memtag.metrics import information_gains
 from memtag.taggen import (TaggerConfig, TaggerModel, build_lexicon,
-                           extract_known_cases, lexicon_from_tag_counts)
+                           extract_known_cases, lexicon_from_tag_counts, train)
 
 
 def make_base(rows, arity):
@@ -66,16 +66,10 @@ def _oracle_node(items, order, depth, interner):
 
 
 def same_structure(node, oracle):
-    if node.default != oracle["default"]:
-        return False
-    if (node.arcs is None) != (oracle["arcs"] is None):
-        return False
-    if node.arcs is None:
-        return True
-    if set(node.arcs) != set(oracle["arcs"]):
-        return False
-    return all(same_structure(node.arcs[v], oracle["arcs"][v])
-               for v in node.arcs)
+    # The oracle's leaves have arcs None, its other nodes at least one arc.
+    arcs = oracle["arcs"] or {}
+    return (node.default == oracle["default"] and set(node.arcs) == set(arcs)
+            and all(same_structure(node.arcs[v], arcs[v]) for v in node.arcs))
 
 
 def test_build_matches_oracle_on_f1(f1):
@@ -101,8 +95,8 @@ def test_deterministic_feature_decides_depth_one():
     base = make_base(rows, 2)
     tree = build(base, information_gains(base))
     assert tree.feature_order[0] == 0
-    assert tree.root.arcs is not None
-    assert all(child.arcs is None for child in tree.root.arcs.values())
+    assert tree.root.arcs
+    assert all(child.arcs == {} for child in tree.root.arcs.values())
 
 
 def test_single_pattern_is_single_node():
@@ -110,7 +104,7 @@ def test_single_pattern_is_single_node():
     tree = prune(build(base, (1.0, 1.0)))
     st = stats(tree)
     assert st.nodes == 1
-    assert tree.root.arcs is None
+    assert tree.root.arcs == {}
     assert base.interner.text(tree.root.default) == "X"
 
 
@@ -179,7 +173,7 @@ def test_depth_bound_and_obliviousness():
     stack = [(tree.root, 0)]
     while stack:
         node, depth = stack.pop()
-        if node.arcs is None:
+        if not node.arcs:
             continue
         per_level_values.setdefault(depth, set()).update(node.arcs)
         for child in node.arcs.values():
@@ -260,3 +254,18 @@ def test_tree_bytes_round_trip():
             q = tuple(rng.randrange(len(interner) + 3)
                       for _ in range(tree.arity))
             assert got.classify(q) == tree.classify(q)
+
+
+@pytest.mark.parametrize("corpus", ["f1", "synth_small"])
+def test_every_node_has_an_arc_dict(corpus, request):
+    """A leaf is a node whose arcs are an empty dict, in a trained tree and
+    in the same tree read back from the model file."""
+    model = train(request.getfixturevalue(corpus))
+    loaded = TaggerModel.from_bytes(model.to_bytes())
+    for tree in (model.known_tree, model.unknown_tree,
+                 loaded.known_tree, loaded.unknown_tree):
+        stack = [tree.root]
+        while stack:
+            node = stack.pop()
+            assert type(node.arcs) is dict
+            stack += node.arcs.values()

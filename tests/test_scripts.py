@@ -1,20 +1,37 @@
-"""Smoke tests: the scripts run end to end on small corpora and write the
-files they promise."""
+"""Smoke tests: the scripts and `python -m memtag` run end to end on small
+corpora and write the files they promise."""
 
 import os
 import subprocess
 import sys
 
+from conftest import F1_PATH
 from memtag.corpus import read_corpus
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def run_script(name, *args, check=True):
+def run_python(*args, check=True, stdin=None):
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     return subprocess.run(
-        [sys.executable, os.path.join(ROOT, "scripts", name), *args],
-        env=env, check=check, capture_output=True, text=True, timeout=300)
+        [sys.executable, *args], env=env, check=check, input=stdin,
+        capture_output=True, text=True, timeout=300)
+
+
+def run_script(name, *args, check=True):
+    return run_python(os.path.join(ROOT, "scripts", name), *args, check=check)
+
+
+def test_module_entry_point(tmp_path):
+    """A train then tag round trip exits 0; a usage error exits 2."""
+    model = str(tmp_path / "f1.model")
+    run_python("-m", "memtag", "train", F1_PATH, "--model", model)
+    done = run_python("-m", "memtag", "tag", "--model", model,
+                      stdin="the cat saw the saw .\n")
+    assert done.stdout == "the/DT cat/NN saw/VBD the/DT saw/NN ./.\n"
+    done = run_python("-m", "memtag", "tag", check=False)
+    assert done.returncode == 2
+    assert "the following arguments are required: --model" in done.stderr
 
 
 def test_run_experiments(tmp_path):

@@ -316,6 +316,18 @@ def test_tag_empty_sentence(f1):
         model.tag_records(["the"], gold_left=[])
 
 
+@pytest.mark.parametrize("words", [["", "cat"], ["the", "", "cat"],
+                                   ["the", "cat", ""]])
+def test_tag_empty_word(words, f1_model):
+    """An empty word has no letters for the unknown route: each entry point
+    refuses it, naming its position."""
+    message = f"empty word at position {words.index('')}"
+    for call in (f1_model.tag, f1_model.tag_records,
+                 lambda words: f1_model.explain(words, 0)):
+        with pytest.raises(ParameterError, match=message):
+            call(words)
+
+
 def test_numbers_routed_to_unknown_tree_even_if_seen():
     corpus = parse_corpus("sold/VBD 61/CD shares/NNS ./.\n"
                           "sold/VBD 29/CD shares/NNS ./.")
