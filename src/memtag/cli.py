@@ -59,11 +59,12 @@ def _read_corpus(path: str) -> Corpus:
 
 
 def _write_text(path: str | None, text: str) -> None:
+    """`text` as it is, to the file at `path` or to stdout."""
     if path is None:
-        print(text)
+        sys.stdout.write(text)
     else:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -79,26 +80,18 @@ def cmd_tag(args: argparse.Namespace) -> int:
     _require_file(args.model)
     model = TaggerModel.load(args.model)
     data = _read_text(args.input)
-    # one sentence per "\n"-separated line, as in parse_corpus
-    lines = data.removesuffix("\n").split("\n")
-    out_lines = []
+    # one sentence per line, as in parse_corpus; the last "\n" is optional
+    lines = data.removesuffix("\n").split("\n") if data else []
+    out = []
     n_words = 0
     t0 = time.perf_counter()
     for line in lines:
         words = line.split()
-        if not words:
-            out_lines.append("")
-            continue
-        tags = model.tag(words)
+        tags = model.tag(words) if words else []
         n_words += len(words)
-        out_lines.append(" ".join(f"{w}/{t}" for w, t in zip(words, tags)))
+        out.append(" ".join(f"{w}/{t}" for w, t in zip(words, tags)) + "\n")
     elapsed = max(time.perf_counter() - t0, 1e-9)
-    text = "\n".join(out_lines)
-    if args.output is None:
-        if text:
-            print(text)
-    else:
-        _write_text(args.output, text)
+    _write_text(args.output, "".join(out))
     if args.stats:
         print(f"{n_words} words in {elapsed:.3f}s "
               f"({n_words / elapsed:,.0f} words/s)", file=sys.stderr)
@@ -115,11 +108,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
     print(f"{report.total} tokens, {report.words_per_second:,.0f} words/s, "
           f"model {os.path.getsize(args.model)} bytes")
     if args.out:
-        _write_text(args.out, report.tsv())
+        _write_text(args.out, report.tsv() + "\n")
     if args.dump_gains:
         weights = (model.known_weights if args.gains_base == "known"
                    else model.unknown_weights)
-        _write_text(args.dump_gains, evaluation.gains_tsv(weights))
+        _write_text(args.dump_gains, evaluation.gains_tsv(weights) + "\n")
     return EXIT_OK
 
 
@@ -131,7 +124,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
     points = evaluation.learning_curve(
         corpus, sizes, k=args.folds, seed=args.seed,
         config=_tagger_config(args), gold_left_context=args.gold_left_context)
-    _write_text(args.out, evaluation.curve_tsv(points))
+    _write_text(args.out, evaluation.curve_tsv(points) + "\n")
     return EXIT_OK
 
 

@@ -62,24 +62,22 @@ class EvalReport:
     def words_per_second(self) -> float:
         return self.total / max(self.wall_time_s, 1e-9)
 
+    def _rows(self) -> list[tuple[str, float, float]]:
+        """(category, accuracy, share of tokens) per route, then in total."""
+        return [("Known", self.accuracy_known, 1.0 - self.unknown_fraction),
+                ("Unknown", self.accuracy_unknown, self.unknown_fraction),
+                ("Total", self.accuracy_total, 1.0)]
+
     def table(self) -> str:
-        rows = [
-            ("Known", self.accuracy_known, 1.0 - self.unknown_fraction),
-            ("Unknown", self.accuracy_unknown, self.unknown_fraction),
-            ("Total", self.accuracy_total, 1.0),
-        ]
         lines = [f"{'':<8}{'Accuracy':>10}{'Percentage':>12}"]
-        for name, acc, share in rows:
-            lines.append(f"{name:<8}{100.0 * acc:>10.1f}{100.0 * share:>12.1f}")
+        lines += [f"{name:<8}{100.0 * acc:>10.1f}{100.0 * share:>12.1f}"
+                  for name, acc, share in self._rows()]
         return "\n".join(lines)
 
     def tsv(self) -> str:
         lines = ["category\taccuracy\tpercentage"]
-        lines.append(f"known\t{self.accuracy_known:.6f}"
-                     f"\t{1.0 - self.unknown_fraction:.6f}")
-        lines.append(f"unknown\t{self.accuracy_unknown:.6f}"
-                     f"\t{self.unknown_fraction:.6f}")
-        lines.append(f"total\t{self.accuracy_total:.6f}\t1.000000")
+        lines += [f"{name.lower()}\t{acc:.6f}\t{share:.6f}"
+                  for name, acc, share in self._rows()]
         return "\n".join(lines)
 
 

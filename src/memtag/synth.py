@@ -55,6 +55,8 @@ class _Sampler:
 
 @collector_paused
 def synth_corpus(config: SynthConfig = SynthConfig()) -> Corpus:
+    if config.n_tokens < 1:
+        raise ParameterError(f"n_tokens must be >= 1, got {config.n_tokens}")
     rng = random.Random(config.seed)
     chain_tags = [*OPEN_TAGS, *CLOSED_TAGS, "CD"]
 

@@ -14,7 +14,7 @@ Case layouts
                                       left tag, the right neighbor's a+1
                                       value, and the last three letters
 
-Routing is defined once (`known_route_tags`): a word takes the known route
+Routing is defined once (`Lexicon.known_tags`): a word takes the known route
 when it is in the lexicon and is not a numeral routed to the unknown base.
 The a+1 value of a token is its right neighbor's known-route lexicon tag, or
 "UNK-A" when the neighbor is unseen or a numeral; training, tagging and the
@@ -36,7 +36,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .casebase import CaseBase, Vector, majority_class
 from .corpus import Corpus, collector_paused
@@ -113,8 +113,9 @@ class Lexicon:
     the surviving tags of each multi-tag word; a single-tag word's one tag
     survives whatever the threshold. Made by `_lexicon_from_columns`.
 
-    `entries` and the routing maps are built on first use; a concurrent
-    first use builds an equal one.
+    The routing maps of `known_tags`, `tags` and its non-numeral words, are
+    built with the lexicon; `entries` is built on first use, and a
+    concurrent first use builds an equal one.
     """
 
     tags: dict[str, int]
@@ -122,8 +123,12 @@ class Lexicon:
     tag_ids: list[int]
     counts: list[int]
     surviving: dict[str, tuple[int, ...]]
-    _routes: dict[bool, dict[str, int]] = field(
-        init=False, default_factory=dict, compare=False, repr=False)
+    _non_numeral_tags: dict[str, int] = field(
+        init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self._non_numeral_tags = {word: tag for word, tag in self.tags.items()
+                                  if not is_number(word)}
 
     @cached_property
     def entries(self) -> dict[str, LexicalEntry]:
@@ -138,12 +143,12 @@ class Lexicon:
         return entries
 
     def known_tags(self, config: TaggerConfig) -> dict[str, int]:
-        """The routing map, `known_route_tags` of this lexicon, built once
-        per `route_numbers_to_unknown` setting."""
-        key = config.route_numbers_to_unknown
-        if key not in self._routes:
-            self._routes[key] = known_route_tags(self.tags.items(), config)
-        return self._routes[key]
+        """The routing rule: word -> lexicon tag for every word that takes
+        the known route, that is every lexicon word, minus the numerals
+        when `route_numbers_to_unknown` is set; others route unknown."""
+        if config.route_numbers_to_unknown:
+            return self._non_numeral_tags
+        return self.tags
 
 
 def _lexicon_tag(counts: dict[int, int], interner: Interner,
@@ -221,15 +226,11 @@ def lexicon_from_tag_counts(
                                  counts, interner, interner.intern, threshold)
 
 
-def known_route_tags(lexicon_tags: Iterable[tuple[str, int]],
-                     config: TaggerConfig) -> dict[str, int]:
-    """The routing rule: word -> lexicon tag, from a lexicon's (word,
-    lexicon tag) pairs, for every word that takes the known route. That is
-    every lexicon word, minus the numerals when `route_numbers_to_unknown`
-    is set; any other word takes the unknown route."""
-    if not config.route_numbers_to_unknown:
-        return dict(lexicon_tags)
-    return {word: tag for word, tag in lexicon_tags if not is_number(word)}
+def _check_missing(word: str, config: TaggerConfig) -> None:
+    """Refuse a corpus word missing from the lexicon, unless routing sends
+    it unknown anyway: a numeral, when `route_numbers_to_unknown` is set."""
+    if not (config.route_numbers_to_unknown and is_number(word)):
+        raise StructureError(f"word {word!r} not in lexicon")
 
 
 def _route(words: Sequence[str], known_tags: dict[str, int],
@@ -250,10 +251,11 @@ def gold_known_windows(corpus: Corpus, lexicon: Lexicon, interner: Interner,
     """(d-2, d-1, f, a+1) -> gold tag for every token that the lexicon's
     routing map routes known, the d slots holding the left gold tags.
 
-    In strict mode (training) gold tags are interned and every word must be
-    in the lexicon. Otherwise (scoring held-out text) nothing is interned:
-    unseen gold tags map to NO_SYMBOL and unseen words take the unknown
-    route.
+    In strict mode (training) gold tags are interned, and every word that
+    the routing rule would send down the known route must be in the
+    lexicon (`_check_missing`). Otherwise (scoring held-out text) nothing
+    is interned: unseen gold tags map to NO_SYMBOL and unseen words take
+    the unknown route.
     """
     known_tags, lexicon_words = lexicon.known_tags(config), lexicon.tags
     boundary = interner.boundary
@@ -267,7 +269,7 @@ def gold_known_windows(corpus: Corpus, lexicon: Lexicon, interner: Interner,
             if f is not None:
                 yield (d2, d1, f, a), g
             elif strict and word not in lexicon_words:
-                raise StructureError(f"word {word!r} not in lexicon")
+                _check_missing(word, config)
             d2, d1 = d1, g
 
 
@@ -279,7 +281,8 @@ def extract_known_cases(corpus: Corpus, lexicon: Lexicon, interner: Interner,
     for earlier tagger decisions), f the lexicon tag, and a+1 the right
     neighbor's known-route lexicon tag or the unknown marker. Tokens routed
     to the unknown-word base (numbers, when that routing is on) contribute
-    no case. Every corpus word must be in the lexicon.
+    no case. Every corpus word that the routing rule would send down the
+    known route must be in the lexicon; a numeral routed unknown need not.
     """
     return CaseBase(KNOWN_ARITY, interner, gold_known_windows(
         corpus, lexicon, interner, config, strict=True))
@@ -301,7 +304,8 @@ def extract_unknown_cases(corpus: Corpus, lexicon: Lexicon, interner: Interner,
     """One (p, d-1, a+1, s3, s2, s1) -> gold case per open-class training
     token, with a+1 built as for the known cases. Letters come from the raw
     form, case-sensitive: the first letter carries prefix and capitalization
-    information. Every corpus word must be in the lexicon."""
+    information. Every corpus word that the routing rule would send down the
+    known route must be in the lexicon, as for the known cases."""
     return CaseBase(UNKNOWN_ARITY, interner, _unknown_windows(
         corpus, lexicon, interner, config))
 
@@ -318,7 +322,7 @@ def _unknown_windows(corpus: Corpus, lexicon: Lexicon, interner: Interner,
         d1 = interner.boundary
         for word, tag, f, a, g in zip(words, tags, focus, right, gold):
             if f is None and word not in lexicon_words:
-                raise StructureError(f"word {word!r} not in lexicon")
+                _check_missing(word, config)
             is_open = open_class.get(tag)
             if is_open is None:
                 is_open = open_class[tag] = config.is_open_class(tag)
@@ -363,9 +367,9 @@ class TaggerModel:
     Routing is resolved once per lexicon word (the lexicon's routing map),
     so tagging a token costs one dict lookup, never runs the numeral test
     and never reads the lexicon's entries. Immutable after training or
-    loading, apart from the lexicon's first builds, so one model can serve
-    concurrent tagging calls; the sequential dependency is within a
-    sentence only.
+    loading, apart from the lexicon's entries, built on first read, so one
+    model can serve concurrent tagging calls; the sequential dependency is
+    within a sentence only.
     """
 
     __slots__ = ("interner", "lexicon", "config", "known_weights",

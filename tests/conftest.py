@@ -11,8 +11,7 @@ from memtag.corpus import read_corpus
 from memtag.igtree import stats
 from memtag.interning import Interner
 from memtag.synth import SynthConfig, synth_corpus
-from memtag import taggen
-from memtag.taggen import LexicalEntry, train
+from memtag.taggen import LexicalEntry, Lexicon, train
 
 settings.register_profile(
     "suite", deadline=None,
@@ -61,18 +60,18 @@ def count_lexical_entries(monkeypatch):
     return built
 
 
-def count_known_route_tags(monkeypatch):
-    """A list that grows by one for every known_route_tags call (one
-    routing map built) from now on, until the monkeypatch is undone."""
-    calls = []
-    route = taggen.known_route_tags
+def count_lexicons(monkeypatch):
+    """A list that grows by one for every Lexicon built (each builds its
+    routing map) from now on, until the monkeypatch is undone."""
+    built = []
+    post_init = Lexicon.__post_init__
 
-    def counting_route(*args):
-        calls.append(args)
-        return route(*args)
+    def counting_post_init(self):
+        built.append(self)
+        post_init(self)
 
-    monkeypatch.setattr(taggen, "known_route_tags", counting_route)
-    return calls
+    monkeypatch.setattr(Lexicon, "__post_init__", counting_post_init)
+    return built
 
 
 def tree_header(tree):

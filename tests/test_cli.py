@@ -1,3 +1,4 @@
+import argparse
 import codecs
 import io
 import os
@@ -9,7 +10,7 @@ from conftest import (F1_PATH, chained_known_tree_model, config_offset,
                       count_lexical_entries, f1_model_with_lexicon,
                       lexicon_columns, lexicon_section,
                       tree_header, tree_start, with_crc)
-from memtag.cli import main
+from memtag.cli import build_parser, main
 from memtag.corpus import read_corpus, write_corpus
 from memtag.errors import ModelFormatError
 from memtag.evaluation import gains_tsv as gains_tsv_text
@@ -77,6 +78,23 @@ def test_tag_empty_input(model_path, tmp_path, capsys):
     inp.write_text("")
     assert main(["tag", str(inp), "--model", model_path]) == 0
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("data, n_lines", [
+    ("", 0), ("\n", 1), ("a .\n\nb .\n", 3), ("a .", 1)])
+def test_tag_writes_one_line_per_input_line(model_path, tmp_path, capsys,
+                                            data, n_lines):
+    """Standard output and an -o file get the same text: one "\n"-ended
+    line per input line, blank for a blank one."""
+    inp, outp = tmp_path / "in.txt", tmp_path / "out.tagged"
+    inp.write_bytes(data.encode("utf-8"))
+    assert main(["tag", str(inp), "--model", model_path]) == 0
+    out = capsys.readouterr().out
+    assert main(["tag", str(inp), "--model", model_path, "-o", str(outp)]) == 0
+    assert outp.read_bytes().decode("utf-8") == out
+    assert out.count("\n") == n_lines and out.endswith("\n" * (n_lines > 0))
+    assert [line.startswith("a/") for line in out.split("\n")[:-1]] == [
+        line == "a ." for line in data.split("\n")[:n_lines]]
 
 
 def test_tag_stats_flag(model_path, tmp_path, capsys):
@@ -358,3 +376,45 @@ def test_tag_reads_standard_input(model_path, capsys, monkeypatch):
     assert main(["tag", "--model", model_path]) == 0
     assert capsys.readouterr().out == (
         "the/DT cat/NN saw/VBD the/DT saw/NN ./.\n")
+
+
+def readme_synopsis():
+    """Per subcommand, its lines of README's `## Command line` block,
+    joined: a line that starts with `memtag` opens a subcommand, and each
+    indented line after it continues that subcommand."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    block = readme.split("## Command line\n\n```\n", 1)[1].split("```", 1)[0]
+    synopsis = {}
+    for line in block.splitlines():
+        if line.startswith("memtag "):
+            command = line.split()[1]
+            synopsis[command] = line
+        else:
+            synopsis[command] += " " + line.strip()
+    return synopsis
+
+
+def test_readme_synopsis_lists_each_subcommands_options():
+    """README's command-line block names every option of each subcommand
+    (either alias will do) and no other, and shows an optional positional
+    in brackets, a required one bare."""
+    parser = build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    synopsis = readme_synopsis()
+    assert sorted(synopsis) == sorted(commands)
+    for name, sub in commands.items():
+        words = synopsis[name].replace("[", " [ ").replace("]", " ] ").split()
+        shown = {w.split("=")[0] for w in words if w.startswith("-")}
+        options = [a.option_strings for a in sub._actions
+                   if a.option_strings and a.dest != "help"]
+        assert all(shown & set(strings) for strings in options), name
+        assert shown <= {s for strings in options for s in strings}, name
+        for action in sub._actions:
+            if action.option_strings:
+                continue
+            metavar = action.dest.upper()
+            want = (f"[ {metavar} ]" if action.nargs == "?" else metavar)
+            assert f"memtag {name} {want} " in " ".join(words), name

@@ -3,9 +3,10 @@ import pytest
 from memtag import ib
 from memtag.corpus import Corpus, cv_folds, parse_corpus
 from memtag.errors import ParameterError
-from memtag.evaluation import (compare_algorithms, compare_on_folds,
-                               cross_validate, curve_tsv, evaluate, gains_tsv,
-                               known_eval_queries, learning_curve)
+from memtag.evaluation import (EvalReport, compare_algorithms,
+                               compare_on_folds, cross_validate, curve_tsv,
+                               evaluate, gains_tsv, known_eval_queries,
+                               learning_curve)
 from memtag.interning import Interner
 from memtag.metrics import information_gains
 from memtag.taggen import (TaggerConfig, build_lexicon, extract_known_cases,
@@ -19,6 +20,31 @@ def test_evaluate_f1_on_itself(f1):
     assert report.total == 18
     assert report.unknown_total == 0
     assert report.words_per_second > 0
+
+
+@pytest.mark.parametrize("report, table, tsv", [
+    (EvalReport(907, 868, 93, 61, 0.5),
+     "          Accuracy  Percentage\n"
+     "Known         95.7        90.7\n"
+     "Unknown       65.6         9.3\n"
+     "Total         92.9       100.0",
+     "category\taccuracy\tpercentage\n"
+     "known\t0.957001\t0.907000\n"
+     "unknown\t0.655914\t0.093000\n"
+     "total\t0.929000\t1.000000"),
+    (EvalReport(0, 0, 0, 0, 0.0),
+     "          Accuracy  Percentage\n"
+     "Known        100.0       100.0\n"
+     "Unknown      100.0         0.0\n"
+     "Total        100.0       100.0",
+     "category\taccuracy\tpercentage\n"
+     "known\t1.000000\t1.000000\n"
+     "unknown\t1.000000\t0.000000\n"
+     "total\t1.000000\t1.000000"),
+])
+def test_report_table_and_tsv_are_pinned(report, table, tsv):
+    assert report.table() == table
+    assert report.tsv() == tsv
 
 
 def test_evaluate_all_unseen_vocabulary(f1):

@@ -59,3 +59,12 @@ def test_make_corpus_too_few_types(tmp_path):
     assert done.returncode == 2
     assert done.stderr.startswith("error: too few types: none bears tag 'CC'")
     assert not out.exists()
+
+
+def test_make_corpus_no_tokens(tmp_path):
+    out = tmp_path / "synth.tagged"
+    done = run_script("make_corpus.py", "--tokens", "0", "-o", str(out),
+                      check=False)
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: n_tokens must be >= 1, got 0")
+    assert not out.exists()

@@ -23,3 +23,10 @@ def test_too_few_types_names_the_tag_without_a_word():
     for n_types in (1, 2, 5, 10, 20):
         with pytest.raises(ParameterError, match="too few types"):
             synth_corpus(SynthConfig(n_tokens=2000, n_types=n_types, seed=0))
+
+
+@pytest.mark.parametrize("n_tokens", [0, -5])
+def test_no_tokens_refused(n_tokens):
+    with pytest.raises(ParameterError,
+                       match=f"n_tokens must be >= 1, got {n_tokens}"):
+        synth_corpus(SynthConfig(n_tokens=n_tokens))

@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (LEAF, PV_LEXICON, PV_SENTENCE, chained_known_tree_model,
-                      column, config_offset, count_known_route_tags,
-                      count_lexical_entries,
-                      f1_model_with_known_nodes,
+                      column, config_offset, count_lexical_entries,
+                      count_lexicons, f1_model_with_known_nodes,
                       f1_model_with_lexicon, fingerprint, interner_table,
                       lexicon_columns, lexicon_section, text_table, texts,
                       tree_start, with_crc)
@@ -21,7 +20,7 @@ from memtag.interning import BOUNDARY, UNKNOWN_MARK, Interner
 from memtag.taggen import (Lexicon, TaggerConfig, TaggerModel, _lexicon_tag,
                            _read_texts, _texts, build_lexicon, extract_known_cases,
                            extract_unknown_cases, is_number,
-                           known_route_tags, lexicon_from_tag_counts, train)
+                           lexicon_from_tag_counts, train)
 from memtag.synth import SynthConfig, synth_corpus
 
 
@@ -216,8 +215,8 @@ def test_lexicon_routing_cache_is_not_a_parameter():
     """A Lexicon builds its routing maps itself; none can be passed in."""
     with pytest.raises(TypeError, match="6 positional arguments"):
         Lexicon({}, [], [], [], {}, {True: {}})
-    with pytest.raises(TypeError, match="_routes"):
-        Lexicon({}, [], [], [], {}, _routes={})
+    with pytest.raises(TypeError, match="_non_numeral_tags"):
+        Lexicon({}, [], [], [], {}, _non_numeral_tags={})
 
 
 def test_extraction_requires_lexicon_coverage(f1):
@@ -226,6 +225,32 @@ def test_extraction_requires_lexicon_coverage(f1):
     for extract in (extract_known_cases, extract_unknown_cases):
         with pytest.raises(StructureError, match="'cat' not in lexicon"):
             extract(f1, partial, interner)
+
+
+def test_extraction_needs_only_the_known_route_words(synth_small):
+    """Coverage follows the routing rule: a lexicon without the numerals
+    gives both case bases exactly as the full lexicon does while numerals
+    are routed unknown, and is refused, naming a numeral, when they are
+    not."""
+    interner = Interner()
+    full = build_lexicon(synth_small, interner)
+    text = interner.text
+    known_route = lexicon_from_tag_counts(
+        {word: {text(t): n for t, n in entry.tag_counts.items()}
+         for word, entry in full.entries.items() if not is_number(word)},
+        interner)
+    assert 0 < len(known_route.tags) < len(full.tags)
+    routed_known = TaggerConfig(route_numbers_to_unknown=False)
+    assert full.known_tags(routed_known) is full.tags
+    for extract in (extract_known_cases, extract_unknown_cases):
+        want = extract(synth_small, full, interner)
+        got = extract(synth_small, known_route, interner)
+        assert list(got.patterns.items()) == list(want.patterns.items())
+        assert got.total_cases == want.total_cases
+        with pytest.raises(StructureError,
+                           match=r"word '([^']*)' not in lexicon") as err:
+            extract(synth_small, known_route, interner, routed_known)
+        assert is_number(err.value.args[0].split("'")[1])
 
 
 def test_is_number():
@@ -824,8 +849,9 @@ def test_load_and_tag_build_no_lexicon_entries(synth_small, monkeypatch):
     """A load routes from the lexicon columns: loading, tagging, explaining
     and evaluating held-out text (unseen words and numerals included) build
     no LexicalEntry and answer as the trained model does. The first read of
-    `.lexicon.entries` builds the entries, and the loaded routing map is
-    known_route_tags of their lexicon tags."""
+    `.lexicon.entries` builds the entries, and the loaded routing map
+    holds every entry's lexicon tag, minus the numerals when they are
+    routed unknown."""
     held_out = synth_corpus(SynthConfig(n_tokens=3000, seed=12))
     held_out.sentences.append(parse_corpus(
         "the/DT blorft/NN 61/CD 12,345.6/CD ./.").sentences[0])
@@ -852,9 +878,11 @@ def test_load_and_tag_build_no_lexicon_entries(synth_small, monkeypatch):
         assert built == []
         assert ("unknown", True, False) in routes  # an unseen numeral
         assert ("unknown", False, False) in routes  # an unseen word
-        assert loaded._known_tags == known_route_tags(
-            ((word, e.ambiguous_tag)
-             for word, e in loaded.lexicon.entries.items()), config)
+        numerals_unknown = config.route_numbers_to_unknown
+        assert loaded._known_tags == {
+            word: e.ambiguous_tag
+            for word, e in loaded.lexicon.entries.items()
+            if not (numerals_unknown and is_number(word))}
         assert len(built) == len(model.lexicon.tags)
         monkeypatch.undo()
 
@@ -862,10 +890,10 @@ def test_load_and_tag_build_no_lexicon_entries(synth_small, monkeypatch):
 def test_trained_and_loaded_lexicons_build_no_entries(synth_small,
                                                       monkeypatch):
     """Training and saving, loading and saving, and an algorithm comparison
-    build no LexicalEntry, and each builds its routing map exactly once.
-    Neither does summary()."""
+    build no LexicalEntry, and each builds one Lexicon, so its routing map
+    exactly once. Neither does summary()."""
     built = count_lexical_entries(monkeypatch)
-    calls = count_known_route_tags(monkeypatch)
+    calls = count_lexicons(monkeypatch)
     model = train(synth_small)
     data = model.to_bytes()
     assert (len(built), len(calls)) == (0, 1)
@@ -882,7 +910,7 @@ def test_all_numeral_lexicon_builds_its_routing_map_once(monkeypatch):
     """With every lexicon word a numeral routed unknown, the routing map is
     empty. Training builds it once, and a load builds no entries."""
     corpus = parse_corpus("12/CD 3,400/CD\n5.5/CD 77/CD -2/CD")
-    calls = count_known_route_tags(monkeypatch)
+    calls = count_lexicons(monkeypatch)
     model = train(corpus)
     assert len(calls) == 1 and model.known_tree is None
     built = count_lexical_entries(monkeypatch)
