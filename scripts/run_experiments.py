@@ -11,7 +11,7 @@ import argparse
 import os
 import time
 
-from memtag.corpus import split
+from memtag.corpus import split, write_text
 from memtag.evaluation import (compare_algorithms, curve_tsv, evaluate,
                                learning_curve)
 from memtag.synth import SynthConfig, synth_corpus
@@ -37,8 +37,7 @@ def main():
     lines += [f"{algo}\t{acc:.6f}" for algo, acc in accs.items()]
     table = "\n".join(lines)
     print(table)
-    with open(os.path.join(args.outdir, "compare.tsv"), "w") as fh:
-        fh.write(table + "\n")
+    write_text(os.path.join(args.outdir, "compare.tsv"), table + "\n")
 
     print("\n== full tagger on the same held-out split ==")
     t0 = time.perf_counter()
@@ -55,8 +54,7 @@ def main():
     points = learning_curve(corpus, sizes, k=args.folds, seed=args.seed)
     table = curve_tsv(points)
     print(table)
-    with open(os.path.join(args.outdir, "curve.tsv"), "w") as fh:
-        fh.write(table + "\n")
+    write_text(os.path.join(args.outdir, "curve.tsv"), table + "\n")
 
 
 if __name__ == "__main__":

@@ -14,8 +14,8 @@ import sys
 import time
 
 from . import evaluation
-from .corpus import Corpus, decode_utf8, read_corpus
-from .errors import CorpusParseError, ModelFormatError, ParameterError
+from .corpus import read_corpus, read_text, write_text
+from .errors import ModelFormatError, ParameterError
 from .taggen import TaggerConfig, TaggerModel, train
 
 EXIT_OK = 0
@@ -29,46 +29,16 @@ def _require_file(path: str) -> None:
         raise ParameterError(f"no such file: {path}")
 
 
-def _read_text(path: str | None) -> str:
-    """A UTF-8 input file, read as text mode reads it, or for None standard
-    input, whose "\r"s stay as sys.stdin keeps them. A byte that is not
-    UTF-8 is a ParameterError naming the file and the line."""
-    if path is None:
-        path, data, newline = "<stdin>", sys.stdin.buffer.read(), "\n"
-    else:
-        _require_file(path)
-        with open(path, "rb") as fh:
-            data, newline = fh.read(), None
-    try:
-        return decode_utf8(data, newline)
-    except CorpusParseError as exc:
-        raise ParameterError(f"{path}: {exc}") from None
-
-
 def _tagger_config(args: argparse.Namespace) -> TaggerConfig:
     closed = None
     if args.closed_class:
-        lines = _read_text(args.closed_class).split("\n")
+        lines = read_text(args.closed_class).split("\n")
         closed = frozenset(line.strip() for line in lines if line.strip())
     return TaggerConfig(threshold=args.threshold, closed_class_tags=closed)
 
 
-def _read_corpus(path: str) -> Corpus:
-    _require_file(path)
-    return read_corpus(path)
-
-
-def _write_text(path: str | None, text: str) -> None:
-    """`text` as it is, to the file at `path` or to stdout."""
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-
-
 def cmd_train(args: argparse.Namespace) -> int:
-    corpus = _read_corpus(args.corpus)
+    corpus = read_corpus(args.corpus)
     model = train(corpus, _tagger_config(args))
     model.save(args.model)
     print(f"model written to {args.model}")
@@ -79,7 +49,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_tag(args: argparse.Namespace) -> int:
     _require_file(args.model)
     model = TaggerModel.load(args.model)
-    data = _read_text(args.input)
+    data = read_text(args.input)
     # one sentence per line, as in parse_corpus; the last "\n" is optional
     lines = data.removesuffix("\n").split("\n") if data else []
     out = []
@@ -91,7 +61,7 @@ def cmd_tag(args: argparse.Namespace) -> int:
         n_words += len(words)
         out.append(" ".join(f"{w}/{t}" for w, t in zip(words, tags)) + "\n")
     elapsed = max(time.perf_counter() - t0, 1e-9)
-    _write_text(args.output, "".join(out))
+    write_text(args.output, "".join(out))
     if args.stats:
         print(f"{n_words} words in {elapsed:.3f}s "
               f"({n_words / elapsed:,.0f} words/s)", file=sys.stderr)
@@ -101,30 +71,30 @@ def cmd_tag(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     _require_file(args.model)
     model = TaggerModel.load(args.model)
-    test = _read_corpus(args.corpus)
+    test = read_corpus(args.corpus)
     report = evaluation.evaluate(model, test,
                                  gold_left_context=args.gold_left_context)
     print(report.table())
     print(f"{report.total} tokens, {report.words_per_second:,.0f} words/s, "
           f"model {os.path.getsize(args.model)} bytes")
     if args.out:
-        _write_text(args.out, report.tsv() + "\n")
+        write_text(args.out, report.tsv() + "\n")
     if args.dump_gains:
         weights = (model.known_weights if args.gains_base == "known"
                    else model.unknown_weights)
-        _write_text(args.dump_gains, evaluation.gains_tsv(weights) + "\n")
+        write_text(args.dump_gains, evaluation.gains_tsv(weights) + "\n")
     return EXIT_OK
 
 
 def cmd_curve(args: argparse.Namespace) -> int:
-    corpus = _read_corpus(args.corpus)
+    corpus = read_corpus(args.corpus)
     sizes = _parse_sizes(args.sizes)
     if not sizes:
         raise ParameterError("curve requires --sizes")
     points = evaluation.learning_curve(
         corpus, sizes, k=args.folds, seed=args.seed,
         config=_tagger_config(args), gold_left_context=args.gold_left_context)
-    _write_text(args.out, evaluation.curve_tsv(points) + "\n")
+    write_text(args.out, evaluation.curve_tsv(points) + "\n")
     return EXIT_OK
 
 

@@ -1,4 +1,4 @@
-"""Tagged-corpus reading, writing, and train/test partitioning.
+"""Text and tagged-corpus reading and writing, and train/test partitioning.
 
 Corpus format: one sentence per line, tokens separated by single spaces, word
 and tag joined by the last "/" in the token. The last-slash rule makes tokens
@@ -10,7 +10,9 @@ from __future__ import annotations
 import codecs
 import functools
 import gc
+import os
 import random
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -63,11 +65,12 @@ class Corpus:
 
 
 @collector_paused
-def parse_corpus(text: str) -> Corpus:
+def parse_corpus(text: str, source: str | None = None) -> Corpus:
     """Parse a tagged corpus from a string.
 
     Blank lines are skipped; a token without a separator or with an empty
-    word/tag half is an error reported with its line number.
+    word/tag half is an error reported with its line number and, when given,
+    the name of its `source`.
     """
     sentences: list[Sentence] = []
     # Token's own constructor is a Python-level function; tuple.__new__
@@ -87,35 +90,56 @@ def parse_corpus(text: str) -> Corpus:
             if not (word and tag):  # no separator leaves the word empty
                 problem = ("has an empty word or tag" if sep
                            else "has no word/tag separator")
-                raise CorpusParseError(f"token {item!r} {problem}", line_no)
+                raise CorpusParseError(f"token {item!r} {problem}", line_no,
+                                       source)
             sent.append(new_tuple(Token, (share(word, word), share(tag, tag))))
         sentences.append(sent)
     if not sentences:
-        raise EmptyCorpusError("corpus contains no sentences")
+        raise EmptyCorpusError("corpus contains no sentences", None, source)
     return Corpus(sentences)
 
 
-def decode_utf8(data: bytes, newline: str | None = None) -> str:
-    """`data` as UTF-8 text, without a leading byte order mark. With
-    `newline=None`, "\r\n" and "\r" read as "\n", as a file opened in text
-    mode reads them; with "\n", as is. A byte that is not UTF-8 raises
-    CorpusParseError with its 1-based line."""
+def read_text(path: str | None) -> str:
+    """The UTF-8 text of the file at `path` or, for None, of standard input,
+    without a leading byte order mark. "\r\n" and "\r" read as "\n" from
+    every source, as a file opened in text mode reads them. A missing file
+    is a ParameterError; a byte that is not UTF-8 is a CorpusParseError
+    naming the file (or "<stdin>") and the line."""
+    if path is None:
+        source, data = "<stdin>", sys.stdin.buffer.read()
+    else:
+        if not os.path.isfile(path):
+            raise ParameterError(f"no such file: {path}")
+        with open(path, "rb") as fh:
+            source, data = path, fh.read()
     # Not the utf-8-sig codec: its error offsets would not index `data`.
     data = data.removeprefix(codecs.BOM_UTF8)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        before = decode_utf8(data[:exc.start], newline)
+        # "\r" and "\n" are never part of a longer UTF-8 sequence.
+        head = data[:exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
         raise CorpusParseError(f"byte 0x{data[exc.start]:02x} is not UTF-8",
-                               before.count("\n") + 1) from None
-    if newline is None:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return text
+                               head.count(b"\n") + 1, source) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def write_text(path: str | None, text: str) -> None:
+    """`text` as UTF-8, its line ends written as they are, to the file at
+    `path` or, for None, to standard output."""
+    data = text.encode("utf-8")
+    if path is None:
+        sys.stdout.flush()  # what was printed before comes first
+        sys.stdout.buffer.write(data)
+    else:
+        with open(path, "wb") as fh:
+            fh.write(data)
 
 
 def read_corpus(path: str) -> Corpus:
-    with open(path, "rb") as fh:
-        return parse_corpus(decode_utf8(fh.read()))
+    """The corpus in the file at `path`, read by `read_text`. Every error
+    names the file, and a malformed line its line number too."""
+    return parse_corpus(read_text(path), path)
 
 
 def format_corpus(corpus: Corpus) -> str:
@@ -126,8 +150,7 @@ def format_corpus(corpus: Corpus) -> str:
 
 
 def write_corpus(corpus: Corpus, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(format_corpus(corpus))
+    write_text(path, format_corpus(corpus))
 
 
 def split(corpus: Corpus, test_fraction: float, seed: int = 0) -> tuple[Corpus, Corpus]:

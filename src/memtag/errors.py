@@ -10,12 +10,16 @@ class StructureError(ValueError):
 
 
 class CorpusParseError(ParameterError):
-    """Corpus input is malformed; carries the 1-based line number."""
+    """Text input is malformed; carries the 1-based line number. The message
+    leads with the source's name, when given, and the line."""
 
-    def __init__(self, message: str, line_no: int | None = None):
+    def __init__(self, message: str, line_no: int | None = None,
+                 source: str | None = None):
         self.line_no = line_no
         if line_no is not None:
             message = f"line {line_no}: {message}"
+        if source is not None:
+            message = f"{source}: {message}"
         super().__init__(message)
 
 

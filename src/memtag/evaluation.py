@@ -219,13 +219,6 @@ def compare_algorithms(train_c: Corpus, test_c: Corpus) -> dict[str, float]:
     }
 
 
-def compare_on_folds(corpus: Corpus, k: int = 10, seed: int = 0
-                     ) -> list[dict[str, float]]:
-    """compare_algorithms on every cross-validation fold, in fold order."""
-    return [compare_algorithms(tr, te)
-            for tr, te in cv_folds(corpus, k, seed)]
-
-
 def gains_tsv(weights) -> str:
     lines = ["feature_index\tgain"]
     for i, g in enumerate(weights):

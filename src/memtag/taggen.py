@@ -45,11 +45,10 @@ from .igtree import IGTree, IGTreeNode, build, feature_order, prune, stats
 from .interning import NO_SYMBOL, Interner
 from .metrics import FeatureWeights, information_gains
 
-KNOWN_ARITY = 4
-UNKNOWN_ARITY = 6
-
 KNOWN_SLOTS = ("d-2", "d-1", "f", "a+1")
 UNKNOWN_SLOTS = ("p", "d-1", "a+1", "s-3", "s-2", "s-1")
+KNOWN_ARITY = len(KNOWN_SLOTS)
+UNKNOWN_ARITY = len(UNKNOWN_SLOTS)
 
 MAGIC = b"MBT1"
 FORMAT_VERSION = 5

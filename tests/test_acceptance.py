@@ -11,8 +11,8 @@ import pytest
 
 from conftest import PV_LEXICON, PV_SENTENCE, random_case_base, texts
 from memtag.casebase import CaseBase
-from memtag.corpus import parse_corpus
-from memtag.evaluation import compare_on_folds, evaluate, learning_curve
+from memtag.corpus import cv_folds, parse_corpus
+from memtag.evaluation import compare_algorithms, evaluate, learning_curve
 from memtag.ib import classify_ib1ig
 from memtag.igtree import build, prune, stats
 from memtag.interning import Interner
@@ -202,7 +202,8 @@ def test_criterion_6_accuracy_parity(synth_100k):
     def check():
         assert synth_100k.token_count >= 100_000
         t0 = time.perf_counter()
-        per_fold = compare_on_folds(synth_100k, k=10, seed=0)
+        per_fold = [compare_algorithms(tr, te)
+                    for tr, te in cv_folds(synth_100k, 10, 0)]
         elapsed = time.perf_counter() - t0
         assert len(per_fold) == 10
         for accs in per_fold:

@@ -2,6 +2,7 @@ import argparse
 import codecs
 import io
 import os
+import re
 import struct
 
 import pytest
@@ -81,20 +82,30 @@ def test_tag_empty_input(model_path, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("data, n_lines", [
-    ("", 0), ("\n", 1), ("a .\n\nb .\n", 3), ("a .", 1)])
-def test_tag_writes_one_line_per_input_line(model_path, tmp_path, capsys,
-                                            data, n_lines):
-    """Standard output and an -o file get the same text: one "\n"-ended
-    line per input line, blank for a blank one."""
+    ("", 0), ("\n", 1), ("a .\n\nb .\n", 3), ("a .", 1),
+    ("a .\r\n\r\nb .\r\n", 3), ("a .\r\rb .", 3), ("a .\rb .\r\n", 2),
+    ("a\u2028.\nb .\u2028", 2), ("\ufeffa .\nb .", 2)])
+def test_tag_writes_one_line_per_input_line(model_path, tmp_path, capsysbinary,
+                                            monkeypatch, data, n_lines):
+    """`tag FILE`, `tag < FILE` and `tag FILE -o OUT` write the same bytes:
+    one "\n"-ended line per input line, blank for a blank one. A line ends
+    at "\n", "\r\n" or "\r" and nowhere else; a leading byte order mark is
+    not part of it."""
     inp, outp = tmp_path / "in.txt", tmp_path / "out.tagged"
     inp.write_bytes(data.encode("utf-8"))
     assert main(["tag", str(inp), "--model", model_path]) == 0
-    out = capsys.readouterr().out
+    out = capsysbinary.readouterr().out
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
+        io.BytesIO(inp.read_bytes())))
+    assert main(["tag", "--model", model_path]) == 0
+    assert capsysbinary.readouterr().out == out
     assert main(["tag", str(inp), "--model", model_path, "-o", str(outp)]) == 0
-    assert outp.read_bytes().decode("utf-8") == out
-    assert out.count("\n") == n_lines and out.endswith("\n" * (n_lines > 0))
-    assert [line.startswith("a/") for line in out.split("\n")[:-1]] == [
-        line == "a ." for line in data.split("\n")[:n_lines]]
+    assert outp.read_bytes() == out
+    lines = re.split("\r\n|\r|\n", data.removeprefix("\ufeff"))[:n_lines]
+    model = TaggerModel.load(model_path)
+    assert out.decode("utf-8") == "".join(
+        " ".join(map("/".join, zip(ws, model.tag(ws) if ws else []))) + "\n"
+        for ws in map(str.split, lines))
 
 
 def test_tag_stats_flag(model_path, tmp_path, capsys):
@@ -308,7 +319,7 @@ def test_train_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, capsys):
     corpus.write_bytes(NOT_UTF8)
     assert main(["train", str(corpus), "--model", str(tmp_path / "m")]) == 2
     assert capsys.readouterr().err == (
-        "error: line 2: byte 0xff is not UTF-8\n")
+        f"error: {corpus}: line 2: byte 0xff is not UTF-8\n")
 
 
 def test_eval_names_the_line_of_a_byte_that_is_not_utf8(model_path, tmp_path,
@@ -317,7 +328,23 @@ def test_eval_names_the_line_of_a_byte_that_is_not_utf8(model_path, tmp_path,
     corpus.write_bytes(NOT_UTF8)
     assert main(["eval", str(corpus), "--model", model_path]) == 2
     assert capsys.readouterr().err == (
-        "error: line 2: byte 0xff is not UTF-8\n")
+        f"error: {corpus}: line 2: byte 0xff is not UTF-8\n")
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "curve"])
+@pytest.mark.parametrize("data, message", [
+    (b"the/DT\rcat/NN\r\n./. the\n",
+     "line 3: token 'the' has no word/tag separator"),
+    (b"the/DT\rcat/NN\r\n\xe9/NN\n", "line 3: byte 0xe9 is not UTF-8")],
+    ids=["no-separator", "not-utf8"])
+def test_corpus_errors_name_the_file_and_line(command, data, message,
+                                              model_path, tmp_path, capsys):
+    corpus = tmp_path / "bad.tagged"
+    corpus.write_bytes(data)
+    rest = {"train": ["--model", str(tmp_path / "m")],
+            "eval": ["--model", model_path], "curve": ["--sizes", "4"]}
+    assert main([command, str(corpus), *rest[command]]) == 2
+    assert capsys.readouterr().err == f"error: {corpus}: {message}\n"
 
 
 def test_tag_names_the_file_and_line_of_a_byte_that_is_not_utf8(
@@ -327,12 +354,12 @@ def test_tag_names_the_file_and_line_of_a_byte_that_is_not_utf8(
     assert main(["tag", str(inp), "--model", model_path]) == 2
     assert capsys.readouterr().err == (
         f"error: {inp}: line 3: byte 0xe2 is not UTF-8\n")
-    # standard input counts "\n" only, as it is read without translation
+    # standard input counts lines as a file does
     monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
         io.BytesIO(b"the cat .\r\xff .\n")))
     assert main(["tag", "--model", model_path]) == 2
     assert capsys.readouterr().err == (
-        "error: <stdin>: line 1: byte 0xff is not UTF-8\n")
+        "error: <stdin>: line 2: byte 0xff is not UTF-8\n")
 
 
 def test_closed_class_file_names_the_line_of_a_byte_that_is_not_utf8(

@@ -88,7 +88,7 @@ def test_read_corpus_names_the_line_of_a_byte_that_is_not_utf8(tmp_path):
     with pytest.raises(CorpusParseError) as exc:
         read_corpus(str(path))
     assert exc.value.line_no == 4
-    assert str(exc.value) == "line 4: byte 0xff is not UTF-8"
+    assert str(exc.value) == f"{path}: line 4: byte 0xff is not UTF-8"
     path.write_bytes(b"a/A\r\nb/B\rc/C\n\xc3\xa9/D\n")
     assert read_corpus(str(path)).sentences == [
         [Token("a", "A")], [Token("b", "B")], [Token("c", "C")],
@@ -107,7 +107,8 @@ def test_read_corpus_ignores_a_leading_byte_order_mark(bom, tmp_path):
         path.write_bytes(bom + data)
         with pytest.raises(CorpusParseError) as exc:
             read_corpus(str(path))
-        assert str(exc.value) == f"line {line_no}: byte 0xff is not UTF-8"
+        assert str(exc.value) == (
+            f"{path}: line {line_no}: byte 0xff is not UTF-8")
 
 
 def test_blank_lines_skipped():

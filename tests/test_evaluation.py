@@ -3,10 +3,9 @@ import pytest
 from memtag import ib
 from memtag.corpus import Corpus, cv_folds, parse_corpus
 from memtag.errors import ParameterError
-from memtag.evaluation import (EvalReport, compare_algorithms,
-                               compare_on_folds, cross_validate, curve_tsv,
-                               evaluate, gains_tsv, known_eval_queries,
-                               learning_curve)
+from memtag.evaluation import (EvalReport, compare_algorithms, cross_validate,
+                               curve_tsv, evaluate, gains_tsv,
+                               known_eval_queries, learning_curve)
 from memtag.interning import Interner
 from memtag.metrics import information_gains
 from memtag.taggen import (TaggerConfig, build_lexicon, extract_known_cases,
@@ -122,8 +121,6 @@ def test_folds_evaluated_in_fold_order(synth_small):
     result = cross_validate(sub, k=3, seed=2)
     assert [counts(r) for r in result.reports] == [
         counts(evaluate(train(tr), te)) for tr, te in folds]
-    assert compare_on_folds(sub, k=3, seed=2) == [
-        compare_algorithms(tr, te) for tr, te in folds]
 
 
 def test_learning_curve_full_size_equals_cross_validate(synth_small):
@@ -203,7 +200,7 @@ def test_compare_algorithms_indexed_equals_brute_force(synth_small,
 
 def test_compare_on_folds(synth_small):
     sub = Corpus(synth_small.sentences[:200])
-    per_fold = compare_on_folds(sub, k=3, seed=0)
+    per_fold = [compare_algorithms(tr, te) for tr, te in cv_folds(sub, 3, 0)]
     assert len(per_fold) == 3
     for accs in per_fold:
         assert set(accs) == {"ib1", "ib1ig", "igtree"}
