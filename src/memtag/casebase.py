@@ -1,9 +1,10 @@
 """Deduplicated store of fixed-arity symbolic cases.
 
+A case base is built once, from all its cases, and does not change after.
 Identical feature vectors are collapsed into one pattern that keeps a count
 per target class, so a pattern seen with several classes stays ambiguous
-instead of being overwritten. Pattern iteration order is the insertion order
-of first occurrence, which keeps everything built on top (gains, trees)
+instead of being overwritten. Pattern iteration order is the order of first
+occurrence, which keeps everything built on top (gains, trees)
 deterministic.
 """
 
@@ -42,7 +43,10 @@ def pool(dists: Iterable[ClassDistribution]) -> ClassDistribution:
 
 
 class CaseBase:
-    """Pattern -> class-count store for one case layout (fixed arity)."""
+    """Pattern -> class-count store for one case layout (fixed arity),
+    filled from `cases` in one pass. Equal cases are counted, then stored
+    once each in order of first occurrence: the order that storing them one
+    by one gives."""
 
     __slots__ = ("arity", "patterns", "total_cases", "interner")
 
@@ -52,27 +56,19 @@ class CaseBase:
             raise StructureError(f"arity must be >= 1, got {arity}")
         self.arity = arity
         self.interner = interner
-        self.patterns: dict[Vector, ClassDistribution] = {}
-        self.total_cases = 0
-        self.add_many(cases)
-
-    def add(self, features: Vector, target: int) -> None:
-        self.add_many(((features, target),))
-
-    def add_many(self, cases: Iterable[tuple[Vector, int]]) -> None:
-        """Equal cases are counted, then stored once each in order of first
-        occurrence: the order that adding them one by one gives."""
-        patterns = self.patterns
-        for (features, target), n in Counter(cases).items():
+        patterns: dict[Vector, ClassDistribution] = {}
+        counts = Counter(cases)
+        for (features, target), n in counts.items():
             dist = patterns.get(features)
             if dist is None:
-                if len(features) != self.arity:
+                if len(features) != arity:
                     raise StructureError(f"case arity {len(features)} != "
-                                         f"base arity {self.arity}")
+                                         f"base arity {arity}")
                 patterns[features] = {target: n}
             else:
                 dist[target] = dist.get(target, 0) + n
-            self.total_cases += n
+        self.patterns = patterns
+        self.total_cases = counts.total()
 
     def class_counts(self) -> ClassDistribution:
         """Aggregate class distribution over all stored cases."""

@@ -24,11 +24,6 @@ EXIT_MODEL_FORMAT = 3
 EXIT_IO = 4
 
 
-def _require_file(path: str) -> None:
-    if not os.path.isfile(path):
-        raise ParameterError(f"no such file: {path}")
-
-
 def _tagger_config(args: argparse.Namespace) -> TaggerConfig:
     closed = None
     if args.closed_class:
@@ -47,7 +42,6 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_tag(args: argparse.Namespace) -> int:
-    _require_file(args.model)
     model = TaggerModel.load(args.model)
     data = read_text(args.input)
     # one sentence per line, as in parse_corpus; the last "\n" is optional
@@ -69,7 +63,6 @@ def cmd_tag(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    _require_file(args.model)
     model = TaggerModel.load(args.model)
     test = read_corpus(args.corpus)
     report = evaluation.evaluate(model, test,
@@ -90,7 +83,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
     corpus = read_corpus(args.corpus)
     sizes = _parse_sizes(args.sizes)
     if not sizes:
-        raise ParameterError("curve requires --sizes")
+        raise ParameterError(f"--sizes lists no size: {args.sizes!r}")
     points = evaluation.learning_curve(
         corpus, sizes, k=args.folds, seed=args.seed,
         config=_tagger_config(args), gold_left_context=args.gold_left_context)

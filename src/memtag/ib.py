@@ -3,9 +3,10 @@
 classify_ib1 uses the plain overlap distance, classify_ib1ig the
 gain-weighted one. By default both scan every stored pattern on every query:
 nearest_set is the definition, O(patterns * arity) per query, and the tree
-classifier is checked against it. An OverlapIndex is an exact accelerator
-for the same search, tested against the scan: passed as `index=`, it gives
-the same nearest set, so the same class, without the scan.
+classifier is checked against it. A case base is built once from all its
+cases, so an OverlapIndex built over it stays exact: an accelerator for the
+same search, tested against the scan. Passed as `index=`, it gives the same
+nearest set, so the same class, without the scan.
 
 Everything at the minimal distance forms the nearest set; its class
 distributions are pooled before the majority vote, so an ambiguous stored
@@ -82,13 +83,11 @@ class OverlapIndex:
     share one index.
 
     That walk relies on a distance never falling as mismatches are added,
-    so weights with a negative or NaN entry fall back to the scan. Patterns
-    added to the base after a query make the index rebuild its buckets.
+    so weights with a negative or NaN entry fall back to the scan.
     """
 
     def __init__(self, base: CaseBase):
         self.base = base
-        self._size = len(base.patterns)
         self._buckets: dict[tuple[int, ...],
                             tuple[Callable, dict[object, list[Vector]]]] = {}
         self._levels: dict[FeatureWeights,
@@ -134,9 +133,6 @@ class OverlapIndex:
         weights = _checked_weights(base, query, weights)
         if not all(w >= 0.0 for w in weights):
             return nearest_set(base, query, weights)
-        if len(base.patterns) != self._size:
-            self._buckets.clear()
-            self._size = len(base.patterns)
         patterns = base.patterns
         for distance, subsets in self._levels_for(tuple(weights)):
             found = [vec for kept in subsets

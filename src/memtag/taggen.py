@@ -27,6 +27,7 @@ boundaries; missing slots hold "=".
 
 from __future__ import annotations
 
+import os
 import re
 import struct
 import sys
@@ -514,8 +515,16 @@ class TaggerModel:
 
     @classmethod
     def load(cls, path: str) -> "TaggerModel":
+        """The model in the file at `path`. A missing file is a
+        ParameterError; a malformed one a ModelFormatError naming it."""
+        if not os.path.isfile(path):
+            raise ParameterError(f"no such file: {path}")
         with open(path, "rb") as fh:
-            return cls.from_bytes(fh.read())
+            data = fh.read()
+        try:
+            return cls.from_bytes(data)
+        except ModelFormatError as exc:
+            raise ModelFormatError(f"{path}: {exc}") from exc
 
 
 def _fit(base: CaseBase, arity: int

@@ -203,8 +203,8 @@ def random_case_base(seed):
     for f in range(arity):
         for v in range(max(values)):
             interner.intern(f"v{f}_{v}")
-    base = CaseBase(arity, interner)
     coef = [rng.randint(1, 7) for _ in range(arity)]
+    cases = []
     for _ in range(n_cases):
         vec = tuple(interner.id_of(f"v{f}_{rng.randrange(values[f])}")
                     for f in range(arity))
@@ -212,8 +212,8 @@ def random_case_base(seed):
             cls = classes[sum(c * v for c, v in zip(coef, vec)) % n_classes]
         else:
             cls = rng.choice(classes)
-        base.add(vec, cls)
-    return base, rng
+        cases.append((vec, cls))
+    return CaseBase(arity, interner, cases), rng
 
 
 @pytest.fixture(scope="session")

@@ -81,16 +81,17 @@ def test_criterion_2_metric_identities():
             interner = Interner()
             classes = [interner.intern(f"C{i}")
                        for i in range(rng.randint(2, 5))]
-            base = CaseBase(3, interner)
             const = interner.intern("const")
+            cases = []
             for _ in range(rng.randint(2, 80)):
                 cls = rng.choice(classes)
                 # feature 0 constant, feature 1 mirrors the class exactly,
                 # feature 2 random
-                base.add((const,
-                          interner.intern(f"mirror_{cls}"),
-                          interner.intern(f"r{rng.randrange(4)}")),
-                         cls)
+                cases.append(((const,
+                               interner.intern(f"mirror_{cls}"),
+                               interner.intern(f"r{rng.randrange(4)}")),
+                              cls))
+            base = CaseBase(3, interner, cases)
             gains = information_gains(base)
             assert abs(gains[0]) <= 1e-9
             assert abs(gains[1] - class_entropy(base)) <= 1e-9

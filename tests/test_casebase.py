@@ -22,28 +22,25 @@ def sym(interner, *texts):
 
 
 def test_add_duplicates_counted(interner):
-    base = CaseBase(2, interner)
     vec = sym(interner, "a", "b")
     x = interner.id_of("X")
-    base.add(vec, x)
-    base.add(vec, x)
+    base = CaseBase(2, interner, [(vec, x), (vec, x)])
     assert base.patterns[vec] == {x: 2}
     assert base.total_cases == 2
     assert len(base) == 1
 
 
 def test_add_ambiguous_pattern(interner):
-    base = CaseBase(2, interner)
     vec = sym(interner, "a", "b")
-    base.add(vec, interner.id_of("X"))
-    base.add(vec, interner.id_of("Y"))
+    base = CaseBase(2, interner, [(vec, interner.id_of("X")),
+                                  (vec, interner.id_of("Y"))])
     assert base.patterns[vec] == {interner.id_of("X"): 1, interner.id_of("Y"): 1}
 
 
 def test_add_arity_mismatch(interner):
-    base = CaseBase(2, interner)
     with pytest.raises(StructureError):
-        base.add(sym(interner, "a", "b", "c"), interner.id_of("X"))
+        CaseBase(2, interner, [(sym(interner, "a", "b", "c"),
+                                interner.id_of("X"))])
 
 
 def test_f1_focus_the_always_dt(f1):
@@ -73,18 +70,16 @@ def test_majority_class(interner):
        st.randoms(use_true_random=False))
 def test_add_order_insensitive(cases, rnd):
     interner = Interner([str(i) for i in range(9)])
-    a = CaseBase(2, interner)
-    a.add_many(cases)
+    a = CaseBase(2, interner, cases)
     shuffled = list(cases)
     rnd.shuffle(shuffled)
-    b = CaseBase(2, interner)
-    b.add_many(shuffled)
+    b = CaseBase(2, interner, shuffled)
     assert a.patterns == b.patterns
     assert a.total_cases == b.total_cases
 
 
 def add_one_by_one(base, cases):
-    """The reference for add_many: each case stored as it comes."""
+    """The reference for the constructor: each case stored as it comes."""
     for features, target in cases:
         if len(features) != base.arity:
             raise StructureError("arity mismatch")
@@ -104,15 +99,11 @@ def stored(base):
 
 
 @given(st.lists(st.tuples(st.tuples(st.integers(2, 5), st.integers(2, 5)),
-                          st.integers(6, 8)), max_size=60),
-       st.integers(0, 60))
-def test_add_many_matches_per_case_order(cases, split):
-    """Counting equal cases first keeps the order of one-by-one insertion,
-    also when a second batch adds to patterns the first one stored."""
+                          st.integers(6, 8)), max_size=60))
+def test_add_many_matches_per_case_order(cases):
+    """Counting equal cases first keeps the order of one-by-one insertion."""
     interner = Interner([str(i) for i in range(9)])
-    counted = CaseBase(2, interner)
-    counted.add_many(cases[:split])
-    counted.add_many(iter(cases[split:]))
+    counted = CaseBase(2, interner, iter(cases))
     reference = CaseBase(2, interner)
     add_one_by_one(reference, cases)
     assert stored(counted) == stored(reference)
@@ -140,8 +131,7 @@ def test_add_many_matches_per_case_order_on_corpora(f1, synth_small):
                           st.integers(5, 7)), min_size=1, max_size=40))
 def test_total_cases_conservation(cases):
     interner = Interner([str(i) for i in range(8)])
-    base = CaseBase(2, interner)
-    base.add_many(cases)
+    base = CaseBase(2, interner, cases)
     assert base.total_cases == len(cases)
     assert sum(n for d in base.patterns.values() for n in d.values()) == len(cases)
 
@@ -154,12 +144,11 @@ def test_dedup_transparency():
     classes = [interner.id_of(f"c{i}") for i in range(3)]
     values = [interner.id_of(f"s{i}") for i in range(6)]
     expanded = []
-    base = CaseBase(3, interner)
     for _ in range(200):
         vec = tuple(rng.choice(values) for _ in range(3))
         cls = rng.choice(classes)
         expanded.append((vec, cls))
-        base.add(vec, cls)
+    base = CaseBase(3, interner, expanded)
 
     def oracle(query):
         best = min(sum(a != b for a, b in zip(vec, query)) for vec, _ in expanded)

@@ -217,6 +217,18 @@ def test_tag_malformed_model_exits_3(data, message, tmp_path, capsys):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["tag", "eval"])
+def test_model_errors_name_the_file(command, tmp_path, capsys):
+    bad = tmp_path / "bad.model"
+    bad.write_bytes(b"MBT1\x01")
+    assert main([command, F1_PATH, "--model", str(bad)]) == 3
+    assert capsys.readouterr().err == (
+        f"model error: {bad}: truncated model header\n")
+    missing = tmp_path / "none.model"
+    assert main([command, F1_PATH, "--model", str(missing)]) == 2
+    assert capsys.readouterr().err == f"error: no such file: {missing}\n"
+
+
 def test_v1_model_rejected(tmp_path, capsys):
     """Version 1 to 4 files are refused by their version, before the CRC
     is read, with a message that says to retrain."""
@@ -289,10 +301,11 @@ def test_curve_command(tmp_path, capsys):
     assert capsys.readouterr().out == out.read_text()
 
 
-def test_curve_requires_sizes(tmp_path):
+def test_curve_requires_sizes(tmp_path, capsys):
     corpus_path = str(tmp_path / "synth.tagged")
     write_corpus(synth_corpus(SynthConfig(n_tokens=1000, seed=1)), corpus_path)
     assert main(["curve", corpus_path, "--sizes", ",", "--folds", "2"]) == 2
+    assert capsys.readouterr().err == "error: --sizes lists no size: ','\n"
 
 
 def test_usage_error_exit_code():

@@ -14,10 +14,9 @@ from memtag.taggen import build_lexicon, extract_known_cases
 
 def make_base(rows, arity):
     interner = Interner()
-    base = CaseBase(arity, interner)
-    for vec, cls in rows:
-        base.add(tuple(interner.intern(v) for v in vec), interner.intern(cls))
-    return base
+    return CaseBase(arity, interner, [
+        (tuple(interner.intern(v) for v in vec), interner.intern(cls))
+        for vec, cls in rows])
 
 
 def ids(base, *texts):
@@ -77,7 +76,8 @@ def test_empty_base_and_arity_errors():
     for idx in (None, index):
         with pytest.raises(StructureError):
             classify_ib1(base, (0, 0), index=idx)
-    base.add((0, 0), 0)
+    base = CaseBase(2, interner, [((0, 0), 0)])
+    index = OverlapIndex(base)
     for idx in (None, index):
         with pytest.raises(StructureError):
             classify_ib1(base, (0, 0, 0), index=idx)
@@ -208,16 +208,6 @@ def test_index_matches_scan_exhaustive(rows):
     for weights in weight_variants(base):
         for q in itertools.product(*per_position):
             assert_index_matches_scan(base, index, q, weights)
-
-
-def test_index_sees_patterns_added_after_a_query():
-    base = make_base([(("a", "b"), "X")], 2)
-    index = OverlapIndex(base)
-    q = ids(base, "c", "d")
-    assert base.interner.text(classify_ib1(base, q, index=index)) == "X"
-    base.add(q, base.interner.intern("Y"))
-    assert base.interner.text(classify_ib1(base, q, index=index)) == "Y"
-    assert_index_matches_scan(base, index, ids(base, "a", "d"), None)
 
 
 def test_index_distances_are_the_scans_floats():

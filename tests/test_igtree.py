@@ -15,10 +15,9 @@ from memtag.taggen import (TaggerConfig, TaggerModel, build_lexicon,
 
 def make_base(rows, arity):
     interner = Interner()
-    base = CaseBase(arity, interner)
-    for vec, cls in rows:
-        base.add(tuple(interner.intern(v) for v in vec), interner.intern(cls))
-    return base
+    return CaseBase(arity, interner, [
+        (tuple(interner.intern(v) for v in vec), interner.intern(cls))
+        for vec, cls in rows])
 
 
 def random_base(seed, arity=4, n_values=4, n_classes=3, n_cases=300,
@@ -28,16 +27,16 @@ def random_base(seed, arity=4, n_values=4, n_classes=3, n_cases=300,
     classes = [interner.intern(f"C{i}") for i in range(n_classes)]
     values = [[interner.intern(f"v{f}_{v}") for v in range(n_values)]
               for f in range(arity)]
-    base = CaseBase(arity, interner)
     coef = [rng.randint(1, 7) for _ in range(arity)]
+    cases = []
     for _ in range(n_cases):
         vec = tuple(values[f][rng.randrange(n_values)] for f in range(arity))
         if rng.random() < noise:
             cls = rng.choice(classes)
         else:
             cls = classes[sum(c * v for c, v in zip(coef, vec)) % n_classes]
-        base.add(vec, cls)
-    return base
+        cases.append((vec, cls))
+    return CaseBase(arity, interner, cases)
 
 
 # -- reference reimplementation used as the structural oracle -------------

@@ -15,10 +15,9 @@ from memtag.taggen import build_lexicon, extract_known_cases
 def make_base(rows, arity):
     """rows: list of (feature texts tuple, class text)."""
     interner = Interner()
-    base = CaseBase(arity, interner)
-    for vec, cls in rows:
-        base.add(tuple(interner.intern(v) for v in vec), interner.intern(cls))
-    return base
+    return CaseBase(arity, interner, [
+        (tuple(interner.intern(v) for v in vec), interner.intern(cls))
+        for vec, cls in rows])
 
 
 def f1_known_base(f1):

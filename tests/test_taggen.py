@@ -517,6 +517,17 @@ def test_model_round_trip_bit_exact(f1, tmp_path):
         assert loaded.tag(words) == model.tag(words)
 
 
+def test_model_load_names_the_file(tmp_path):
+    missing = tmp_path / "none.model"
+    with pytest.raises(ParameterError, match="^no such file: "):
+        TaggerModel.load(str(missing))
+    bad = tmp_path / "bad.model"
+    bad.write_bytes(b"MBT1\x01")
+    with pytest.raises(ModelFormatError) as exc:
+        TaggerModel.load(str(bad))
+    assert str(exc.value) == f"{bad}: truncated model header"
+
+
 def test_model_round_trip_preserves_config(f1):
     config = TaggerConfig(threshold=0.25,
                           closed_class_tags=frozenset({"DT", "."}),
