@@ -33,8 +33,9 @@ def majority_class(counts: Mapping[int, int], interner: Interner) -> int:
 
 
 def pool(dists: Iterable[ClassDistribution]) -> ClassDistribution:
-    """The class counts of `dists` added up: IB1-IG's vote and each IGTree
-    node's default pool here, as their equivalence on training needs."""
+    """The class counts of `dists` added up: IB1-IG's vote and IGTree's
+    root default pool here, and each lower IGTree node adds its cases'
+    counts the same way, as their equivalence on training needs."""
     totals: ClassDistribution = {}
     for dist in dists:
         for cls, n in dist.items():

@@ -23,9 +23,10 @@ def collector_paused(func: Callable) -> Callable:
     """Run each call of `func` with the cyclic garbage collector off.
 
     `Token` is a tuple subclass, and CPython untracks only exact tuples, so
-    every corpus token stays tracked by the collector for life. A bulk build
-    from a corpus or a file allocates enough objects to start many
-    collections, and each full one walks every token alive while freeing
+    every `Token` stays tracked by the collector for life: one per distinct
+    token text of a parsed corpus, one per token of a synthetic one. A bulk
+    build from a corpus or a file allocates enough objects to start many
+    collections, and each full one walks every `Token` alive while freeing
     nothing: memtag's bulk builds make no reference cycles. On return or on
     an exception the collector is turned back on only if it was on when the
     call began, so nested calls and callers that turned it off keep their
@@ -70,29 +71,41 @@ def parse_corpus(text: str, source: str | None = None) -> Corpus:
 
     Blank lines are skipped; a token without a separator or with an empty
     word/tag half is an error reported with its line number and, when given,
-    the name of its `source`.
+    the name of its `source`. Tokens with the same text are one `Token`.
     """
     sentences: list[Sentence] = []
     # Token's own constructor is a Python-level function; tuple.__new__
     # builds the same Token without that call.
     new_tuple = tuple.__new__
-    # One str object per distinct word or tag text: each token otherwise
-    # holds its own copies. The dict lives for this call only.
+    # One Token per distinct token text, and one str object per distinct
+    # word or tag text, so tokens with one word and different tags share
+    # that word. Both dicts live for this call only.
+    tokens: dict[str, Token] = {}
+    known, remember = tokens.get, tokens.setdefault
     share = {}.setdefault
     # "\n" only: str.splitlines() also splits at form feeds, U+2028 and
     # other separators that a user's text editor shows inside one line.
     for line_no, line in enumerate(text.split("\n"), start=1):
-        if not line.strip():
+        items = line.split()
+        if not items:
             continue
-        sent: Sentence = []
-        for item in line.split():
-            word, sep, tag = item.rpartition("/")
-            if not (word and tag):  # no separator leaves the word empty
-                problem = ("has an empty word or tag" if sep
-                           else "has no word/tag separator")
-                raise CorpusParseError(f"token {item!r} {problem}", line_no,
-                                       source)
-            sent.append(new_tuple(Token, (share(word, word), share(tag, tag))))
+        # Texts seen on earlier lines are looked up in C; only the rest are
+        # parsed, in line order, so the first fault on the line is named.
+        sent: Sentence = list(map(known, items))
+        if not all(sent):  # a Token is a non-empty tuple, never false
+            for i, tok in enumerate(sent):
+                if tok is not None:
+                    continue
+                item = items[i]
+                word, sep, tag = item.rpartition("/")
+                if not (word and tag):  # no separator leaves the word empty
+                    problem = ("has an empty word or tag" if sep
+                               else "has no word/tag separator")
+                    raise CorpusParseError(f"token {item!r} {problem}",
+                                           line_no, source)
+                # A text repeated on this line keeps its first Token.
+                sent[i] = remember(item, new_tuple(
+                    Token, (share(word, word), share(tag, tag))))
         sentences.append(sent)
     if not sentences:
         raise EmptyCorpusError("corpus contains no sentences", None, source)

@@ -12,9 +12,8 @@ costs at most arity+1 node visits no matter how many cases were stored.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 
-from .casebase import CaseBase, ClassDistribution, Vector, majority_class, pool
+from .casebase import CaseBase, ClassDistribution, Vector, majority_class
 from .errors import StructureError
 from .interning import Interner
 from .metrics import FeatureWeights
@@ -85,29 +84,36 @@ def build(base: CaseBase, weights: FeatureWeights) -> IGTree:
             f"{len(weights)} weights for base arity {base.arity}")
     order = feature_order(weights)
     items = list(base.patterns.items())
-    root = _build(items, order, 0, base.interner)
+    root = _build(items, base.class_counts(), order, 0, base.interner)
     return IGTree(root, order, base.total_cases)
 
 
 def _build(items: list[tuple[Vector, ClassDistribution]],
-           order: tuple[int, ...], depth: int, interner: Interner) -> IGTreeNode:
-    totals = pool(map(itemgetter(1), items))
+           totals: ClassDistribution, order: tuple[int, ...], depth: int,
+           interner: Interner) -> IGTreeNode:
+    """The node over `items`, whose class counts add up to `totals`."""
     default = majority_class(totals, interner)
     # Ambiguity counts distinct classes, so two identical vectors with
     # different targets keep a subset ambiguous.
     if len(totals) == 1 or depth == len(order):
         return IGTreeNode(default, {})
     feat = order[depth]
-    groups: dict[int, list[tuple[Vector, ClassDistribution]]] = {}
+    # One pass groups the items by the next feature's value and adds up
+    # each group's class counts, which its child node then starts from.
+    groups: dict[int, tuple[list, ClassDistribution]] = {}
     for item in items:
-        value = item[0][feat]
+        vector, dist = item
+        value = vector[feat]
         group = groups.get(value)
         if group is None:
-            groups[value] = [item]
+            groups[value] = ([item], dict(dist))
         else:
-            group.append(item)
-    arcs = {value: _build(group, order, depth + 1, interner)
-            for value, group in groups.items()}
+            members, counts = group
+            members.append(item)
+            for cls, n in dist.items():
+                counts[cls] = counts.get(cls, 0) + n
+    arcs = {value: _build(group, counts, order, depth + 1, interner)
+            for value, (group, counts) in groups.items()}
     return IGTreeNode(default, arcs)
 
 

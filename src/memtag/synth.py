@@ -11,6 +11,7 @@ strings tagged CD.
 
 from __future__ import annotations
 
+import math
 import random
 from bisect import bisect
 from dataclasses import dataclass
@@ -57,6 +58,7 @@ class _Sampler:
 def synth_corpus(config: SynthConfig = SynthConfig()) -> Corpus:
     if config.n_tokens < 1:
         raise ParameterError(f"n_tokens must be >= 1, got {config.n_tokens}")
+    weights = _zipf_weights(config.n_types, config.zipf_exponent)
     rng = random.Random(config.seed)
     chain_tags = [*OPEN_TAGS, *CLOSED_TAGS, "CD"]
 
@@ -92,8 +94,7 @@ def synth_corpus(config: SynthConfig = SynthConfig()) -> Corpus:
 
     # Per-tag emission samplers over the types that can bear the tag.
     by_tag: dict[str, tuple[list[int], list[float]]] = {t: ([], []) for t in chain_tags}
-    for i, tags in enumerate(type_tags):
-        w = 1.0 / (i + 1) ** config.zipf_exponent
+    for i, (tags, w) in enumerate(zip(type_tags, weights)):
         for tag in tags:
             by_tag[tag][0].append(i)
             by_tag[tag][1].append(w)
@@ -136,6 +137,19 @@ def synth_corpus(config: SynthConfig = SynthConfig()) -> Corpus:
         sentences.append(sent)
         total += len(sent)
     return Corpus(sentences)
+
+
+def _zipf_weights(n_types: int, exponent: float) -> list[float]:
+    """The weight of each type by rank, 1 / rank**exponent. Every weight,
+    and their sum, must be finite and positive for a draw to pick a type."""
+    try:
+        weights = [1.0 / (i + 1) ** exponent for i in range(n_types)]
+        if all(w > 0.0 for w in weights) and sum(weights) < math.inf:
+            return weights
+    except (OverflowError, ZeroDivisionError):  # the power over- or underflows
+        pass
+    raise ParameterError(f"zipf_exponent {exponent!r} gives type weights "
+                         f"that are not finite and positive")
 
 
 def _number_form(rng: random.Random) -> str:

@@ -53,7 +53,17 @@ def test_parse_builds_tokens_and_names_each_fault():
                           ("a/A\n\n/DT", "line 3: token '/DT' has an empty "
                            "word or tag"),
                           ("a/ b/B", "line 1: token 'a/' has an empty word "
-                           "or tag")):
+                           "or tag"),
+                          # faults after tokens seen on an earlier line, on
+                          # the same line and behind a blank line
+                          ("a/A b/B\n\nb/B a/A noslash", "line 3: token "
+                           "'noslash' has no word/tag separator"),
+                          ("a/A b/B\nb/B a/A b/ a/A", "line 2: token 'b/' "
+                           "has an empty word or tag"),
+                          ("x/X x/X /X x/X", "line 1: token '/X' has an "
+                           "empty word or tag"),
+                          ("a/A\n\n\na/A a/A a/A/ bad", "line 4: token "
+                           "'a/A/' has an empty word or tag")):
         with pytest.raises(CorpusParseError) as exc:
             parse_corpus(text)
         assert str(exc.value) == message
@@ -71,10 +81,12 @@ def test_lines_split_at_newline_only():
 
 @pytest.mark.parametrize("corpus", ["synth_small", "f1"])
 def test_parse_holds_one_object_per_distinct_text(corpus, request):
-    """Every token with the same word shares one str object, and so does
-    every token with the same tag."""
+    """Every token with the same text is one Token object; every token with
+    the same word shares one str object, and so does every token with the
+    same tag."""
     parsed = parse_corpus(format_corpus(request.getfixturevalue(corpus)))
     tokens = [tok for sent in parsed.sentences for tok in sent]
+    assert len(set(map(id, tokens))) == len(set(tokens)) < len(tokens)
     for field in ("word", "tag"):
         values = [getattr(tok, field) for tok in tokens]
         assert len(set(map(id, values))) == len(set(values)) < len(values)

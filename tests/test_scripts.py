@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import pytest
 from conftest import F1_PATH
 from memtag.corpus import read_corpus
 
@@ -67,4 +68,17 @@ def test_make_corpus_no_tokens(tmp_path):
                       check=False)
     assert done.returncode == 2
     assert done.stderr.startswith("error: n_tokens must be >= 1, got 0")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("zipf", ["nan", "inf", "1e308", "-400"])
+def test_make_corpus_refuses_weights_that_are_not_finite(zipf, tmp_path):
+    """Each exponent gives some type a weight that is not finite and
+    positive (or one the power cannot compute), so no type can be drawn."""
+    out = tmp_path / "synth.tagged"
+    done = run_script("make_corpus.py", "--tokens", "2000", "--zipf", zipf,
+                      "-o", str(out), check=False)
+    assert done.returncode == 2
+    assert done.stderr == (f"error: zipf_exponent {float(zipf)!r} gives type "
+                           f"weights that are not finite and positive\n")
     assert not out.exists()
