@@ -154,10 +154,13 @@ class TreeStats:
 
 
 def stats(tree: IGTree) -> TreeStats:
-    """Size report. `serialized_bytes` is the tree's section in the model
-    file: case count, then per node its default and arc count, and per arc
-    its value, one u32 each. The expanded baseline is the flat store of all
-    trained cases at one u32 per feature-or-target slot."""
+    """Size report. `serialized_bytes` is the tree at one u32 per slot:
+    case count, then per node its default and arc count, and per arc its
+    value. It is the figure that criterion 4 compares with
+    `expanded_bytes`, the flat store of all trained cases at one u32 per
+    feature-or-target slot, so that both count a slot alike; it is not the
+    tree's section size in the model file, which stores the slots at the
+    width its symbols need."""
     histogram: dict[int, int] = {}  # depth -> nodes, one level at a time
     leaves = 0
     level = [tree.root]

@@ -43,7 +43,7 @@ from .casebase import CaseBase, Vector, majority_class
 from .corpus import Corpus, collector_paused
 from .errors import ModelFormatError, ParameterError, StructureError
 from .igtree import IGTree, IGTreeNode, build, feature_order, prune, stats
-from .interning import NO_SYMBOL, Interner
+from .interning import BOUNDARY, NO_SYMBOL, UNKNOWN_MARK, Interner
 from .metrics import FeatureWeights, information_gains
 
 KNOWN_SLOTS = ("d-2", "d-1", "f", "a+1")
@@ -52,7 +52,7 @@ KNOWN_ARITY = len(KNOWN_SLOTS)
 UNKNOWN_ARITY = len(UNKNOWN_SLOTS)
 
 MAGIC = b"MBT1"
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 
 # Digits with optional sign, optional 3-digit grouping commas, optional
 # decimal fraction: "61", "12,345.6", "-29".
@@ -169,8 +169,10 @@ def _lexicon_from_columns(words: list[str], n_tags: list[int],
                           threshold: float) -> Lexicon:
     """The Lexicon of these words and columns. A single-tag word's lexicon
     tag is its one tag; a multi-tag word's is `symbol` (`interner.intern`
-    or `interner.id_of`) of the text `_lexicon_tag` joins. The checks fail
-    only on a model file's columns."""
+    or `interner.id_of`) of the text `_lexicon_tag` joins; a joined text
+    that is a marker is refused with ParameterError, since it would take
+    the marker's id. The other checks fail only on a model file's
+    columns."""
     starts = list(accumulate(n_tags, initial=0))
     tags = dict(zip(words, map(tag_ids.__getitem__, starts[:-1])))
     if len(tags) != len(words):
@@ -187,6 +189,9 @@ def _lexicon_from_columns(words: list[str], n_tags: list[int],
         if tag == NO_SYMBOL:
             raise ModelFormatError(
                 f"lexicon tag {joined!r} of {word!r} is not a symbol")
+        if tag in (interner.boundary, interner.unknown_mark):
+            raise ParameterError(
+                f"lexicon tag {joined!r} of {word!r} is a marker")
     return Lexicon(tags, n_tags, tag_ids, counts, surviving)
 
 
@@ -211,7 +216,9 @@ def lexicon_from_tag_counts(
         word_tag_counts: dict[str, dict[str, int]], interner: Interner,
         threshold: float = 0.10) -> Lexicon:
     """Build a lexicon from explicit per-word tag counts (for a corpus,
-    hand-built fixtures and external lexical resources)."""
+    hand-built fixtures and external lexical resources). A tag, or a
+    lexicon tag joined from tags, that is a marker ("=" or "UNK-A") is
+    refused with ParameterError."""
     _check_threshold(threshold)
     n_tags: list[int] = []
     tag_ids: list[int] = []
@@ -219,6 +226,10 @@ def lexicon_from_tag_counts(
     for word, by_tag in word_tag_counts.items():
         if not by_tag or min(by_tag.values()) < 1:
             raise ParameterError(f"word {word!r} needs tag counts, each >= 1")
+        for marker in (BOUNDARY, UNKNOWN_MARK):
+            if marker in by_tag:
+                raise ParameterError(
+                    f"word {word!r} has the tag {marker!r}, a marker")
         n_tags.append(len(by_tag))
         tag_ids += map(interner.intern, by_tag)
         counts += by_tag.values()
@@ -494,8 +505,8 @@ class TaggerModel:
             st = stats(tree)
             lines.append(
                 f"{name} tree: {st.nodes} nodes, {st.leaves} leaves, "
-                f"depth {st.max_depth}, {st.serialized_bytes} bytes "
-                f"({100.0 * st.compression_ratio:.1f}% of expanded)")
+                f"depth {st.max_depth}, {st.serialized_bytes} bytes at 4 B "
+                f"per slot ({100.0 * st.compression_ratio:.1f}% of expanded)")
         return "\n".join(lines)
 
     # -- serialization ---------------------------------------------------
@@ -595,16 +606,16 @@ def _texts(texts: Sequence[str]) -> bytes:
     return _U32.pack(len(blob)) + blob
 
 
-def _node_u32s(node: IGTreeNode, ints: list[int]) -> None:
+def _node_ints(node: IGTreeNode, ints: list[int]) -> None:
     """Preorder: default, arc count, then per arc its value and subtree."""
     ints += (node.default, len(node.arcs))
     for value, child in node.arcs.items():
         ints.append(value)
-        _node_u32s(child, ints)
+        _node_ints(child, ints)
 
 
 def _write_model(model: TaggerModel) -> bytes:
-    """The model file, version 5. Integers are little-endian u32 unless
+    """The model file, version 6. Integers are little-endian u32 unless
     marked; a column is `_column`'s, texts are `_texts`'.
 
         header     b"MBT1", u16 version
@@ -617,7 +628,8 @@ def _write_model(model: TaggerModel) -> bytes:
                    count; every word's tag ids; the counts of those tags
         weights    known then unknown: arity (4, then 6) f64 gains
         trees      known then unknown: u8 present (0 or 1); if present,
-                   case count, then the nodes in preorder (`_node_u32s`)
+                   case count, the count of its preorder ints, then those
+                   ints (`_node_ints`) as a column
         trailer    CRC-32 (`zlib.crc32`) of every byte before it
 
     A word's surviving tags and lexicon tag are not stored: they follow
@@ -656,9 +668,10 @@ def _write_model(model: TaggerModel) -> bytes:
             raise StructureError(f"tree feature order {tree.feature_order} "
                                  "is not the order of its gains")
         out.append(1)
-        ints = [tree.case_count]
-        _node_u32s(tree.root, ints)
-        out += struct.pack(f"<{len(ints)}I", *ints)
+        ints: list[int] = []
+        _node_ints(tree.root, ints)
+        out += struct.pack("<2I", tree.case_count, len(ints))
+        out += _column(ints)
     out += _U32.pack(zlib.crc32(out))
     return bytes(out)
 
@@ -716,6 +729,8 @@ def _read_lexicon(buf: bytes, off: int, interner: Interner,
     counts, off = _read_column(buf, off, len(tag_ids))
     if max(tag_ids, default=0) >= len(interner):
         raise ModelFormatError("lexicon tag id is not a symbol")
+    if min(tag_ids, default=2) < 2:  # ids 0 and 1 are the two markers
+        raise ModelFormatError("lexicon tag id is a marker")
     if 0 in n_tags or 0 in counts:
         raise ModelFormatError("lexicon count of zero")
     return _lexicon_from_columns(
@@ -723,39 +738,44 @@ def _read_lexicon(buf: bytes, off: int, interner: Interner,
         interner.id_of, threshold), off
 
 
-def _read_node(buf: bytes, off: int, depth_left: int, n_symbols: int
+def _read_node(ints: list[int], i: int, depth_left: int, n_symbols: int
                ) -> tuple[IGTreeNode, int]:
-    """One node and its subtree, checked so that tagging cannot fail on it:
-    every default and arc value is a symbol, and no arc hangs below the last
-    feature (which also bounds the recursion)."""
-    default, n_arcs = struct.unpack_from("<2I", buf, off)
-    off += 8
+    """The node whose ints start at `ints[i]`, its subtree, and the index
+    after them, checked so that tagging cannot fail on it: every default
+    and arc value is a symbol, and no arc hangs below the last feature
+    (which also bounds the recursion)."""
+    default, n_arcs = ints[i], ints[i + 1]
+    i += 2
     if default >= n_symbols:
         raise ModelFormatError(f"tree default {default} is not a symbol")
     if n_arcs and depth_left == 0:
         raise ModelFormatError("tree arcs below the last feature")
     arcs: dict[int, IGTreeNode] = {}
     for _ in range(n_arcs):
-        (value,) = _U32.unpack_from(buf, off)
+        value = ints[i]
         if value >= n_symbols:
             raise ModelFormatError(f"tree arc value {value} is not a symbol")
-        arcs[value], off = _read_node(buf, off + 4, depth_left - 1, n_symbols)
+        arcs[value], i = _read_node(ints, i + 1, depth_left - 1, n_symbols)
     if len(arcs) != n_arcs:
         raise ModelFormatError("repeated tree arc value")
-    return IGTreeNode(default, arcs), off
+    return IGTreeNode(default, arcs), i
 
 
 def _read_tree(buf: bytes, off: int, weights: FeatureWeights, n_symbols: int
                ) -> tuple[IGTree | None, int]:
     """A tree that tests its features in the order of its gains, `weights`,
-    and holds a case: `build` refuses an empty base."""
+    holds a case (`build` refuses an empty base) and uses all its ints."""
     if not _flag(buf[off]):
         return None, off + 1
-    (case_count,) = _U32.unpack_from(buf, off + 1)
+    case_count, n_ints = struct.unpack_from("<2I", buf, off + 1)
     if case_count == 0:
         raise ModelFormatError("tree with no cases")
+    ints, off = _read_column(buf, off + 9, n_ints)
     order = feature_order(weights)
-    root, off = _read_node(buf, off + 5, len(order), n_symbols)
+    # ints that end inside a node raise IndexError: see `_read_model`
+    root, end = _read_node(ints.tolist(), 0, len(order), n_symbols)
+    if end != n_ints:
+        raise ModelFormatError(f"{n_ints - end} tree values left over")
     return IGTree(root, order, case_count), off
 
 
@@ -805,8 +825,9 @@ def _read_model(buf: bytes) -> TaggerModel:
     except ModelFormatError:
         raise
     except (struct.error, IndexError, ValueError) as exc:
-        # ValueError covers bad UTF-8, Interner.from_table's checks and
-        # TaggerConfig's threshold check (a ParameterError)
+        # ValueError covers bad UTF-8, Interner.from_table's checks, and
+        # TaggerConfig's threshold check and a lexicon tag that is a marker
+        # (both ParameterErrors)
         raise ModelFormatError(f"corrupt model file: {exc}") from exc
     if off != len(body):
         raise ModelFormatError(f"{len(body) - off} trailing bytes")

@@ -8,7 +8,6 @@ from hypothesis import HealthCheck, settings
 
 from memtag.casebase import CaseBase, majority_class
 from memtag.corpus import read_corpus
-from memtag.igtree import stats
 from memtag.interning import Interner
 from memtag.synth import SynthConfig, synth_corpus
 from memtag.taggen import LexicalEntry, Lexicon, train
@@ -34,6 +33,14 @@ PV_LEXICON = {
     "a": {"dt": 1}, "nonexecutive": {"jj": 1}, "director": {"nn": 1},
     "nov.": {"np": 1}, "29": {"cd": 1}, ".": {".": 1},
 }
+
+
+def readme_section(heading):
+    """The text of README's `## heading` section, up to the next one."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    return readme.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
 
 
 def texts(interner, sids):
@@ -74,24 +81,53 @@ def count_lexicons(monkeypatch):
     return built
 
 
-def tree_header(tree):
+def preorder(node):
+    """A tree's ints as the model file stores them: per node in preorder
+    its default and arc count, and before each child its arc value."""
+    ints = [node.default, len(node.arcs)]
+    for value, child in node.arcs.items():
+        ints += [value, *preorder(child)]
+    return ints
+
+
+def tree_header(tree, n_ints):
     """The first bytes of a tree's section in the model file, after its
-    presence byte: the case count. The feature order is not stored."""
-    return struct.pack("<I", tree.case_count)
+    presence byte: the case count and the count of its preorder ints. The
+    feature order is not stored."""
+    return struct.pack("<2I", tree.case_count, n_ints)
+
+
+def tree_section(tree):
+    """A tree's section in the model file, after its presence byte: its
+    header, then its preorder ints as a column."""
+    ints = preorder(tree.root)
+    return tree_header(tree, len(ints)) + column(ints)
 
 
 def tree_start(model, tree):
     """Where `tree`'s section starts in `model`'s file, after its presence
     byte. Both trees must be present: they end the body, the known one and
     then the unknown one, each after its presence byte."""
-    start = (len(model.to_bytes()) - 4
-             - stats(model.unknown_tree).serialized_bytes)
+    start = len(model.to_bytes()) - 4 - len(tree_section(model.unknown_tree))
     if tree is model.unknown_tree:
         return start
-    return start - 1 - stats(model.known_tree).serialized_bytes
+    return start - 1 - len(tree_section(model.known_tree))
 
 
-LEAF = struct.pack("<2I", 0, 0)  # a tree node: default symbol 0, no arcs
+LEAF = [0, 0]  # a tree node's ints: default symbol 0, no arcs
+
+
+def with_tree_ints(model, tree, ints, n_ints=None, width=None):
+    """`model`'s file with `tree`'s preorder ints replaced by `ints` (as a
+    column of `width`, by default the smallest), its stored int count by
+    `n_ints` (by default the count of `ints`), the CRC recomputed."""
+    data = model.to_bytes()
+    start = tree_start(model, tree)
+    old = tree_section(tree)
+    assert data[start:start + len(old)] == old
+    new = (tree_header(tree, len(ints) if n_ints is None else n_ints)
+           + column(ints, width))
+    return with_crc(data[:start] + new + data[start + len(old):])
 
 
 def with_crc(data):
@@ -163,23 +199,18 @@ def fingerprint(tree):
     return tree.arity, tree.case_count, tree.feature_order, node(tree.root)
 
 
-def f1_model_with_known_nodes(nodes):
-    """The f1 model file with its known tree's nodes replaced by `nodes`,
-    the CRC recomputed."""
+def f1_model_with_known_nodes(ints, n_ints=None, width=None):
+    """The f1 model file with its known tree's preorder ints replaced as
+    `with_tree_ints` replaces them, the CRC recomputed."""
     model = train(read_corpus(F1_PATH))
-    data = model.to_bytes()
-    header = tree_header(model.known_tree)
-    start = tree_start(model, model.known_tree)
-    assert data[start:start + len(header)] == header
-    end = start + stats(model.known_tree).serialized_bytes
-    return with_crc(data[:start] + header + nodes + data[end:])
+    return with_tree_ints(model, model.known_tree, ints, n_ints, width)
 
 
 def chained_known_tree_model(depth):
     """The f1 model with its known tree replaced by a chain of `depth`
     one-arc nodes (default and arc value both symbol 0) ending in a leaf,
     the CRC recomputed."""
-    return f1_model_with_known_nodes(struct.pack("<3I", 0, 1, 0) * depth + LEAF)
+    return f1_model_with_known_nodes([0, 1, 0] * depth + LEAF)
 
 
 def random_case_base(seed):

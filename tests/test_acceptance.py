@@ -314,13 +314,14 @@ NON_DEFAULT = TaggerConfig(route_numbers_to_unknown=False,
 
 def test_model_bytes_pinned(model_100k, synth_100k, synth_medium):
     """Model files are byte-identical to those of earlier releases: a
-    change to training that alters a model must say so and re-pin."""
+    change to training or to the model format that alters a model's bytes
+    must say so and re-pin."""
     def sha1(model):
         return hashlib.sha1(model.to_bytes()).hexdigest()
 
-    assert sha1(model_100k) == "70694fcc38bc3080d8306a7c57fa7f9a718f60e1"
+    assert sha1(model_100k) == "30cdf02cf00ddb7909884d34a0ac0c928cb3b182"
     assert (sha1(train(synth_100k, NON_DEFAULT))
-            == "e5347a4eb3987723e87c28ca96665751bf0b9cff")
-    assert sha1(train(synth_medium)) == "0a1a22a31ddda6e4bb6436ca74a2345dd70945ef"
+            == "6b28af4480295be61db3f43f16400bdacc20a02a")
+    assert sha1(train(synth_medium)) == "521481b4d1ae22b28bd0b15fd35ecad439212921"
     assert (sha1(train(synth_medium, NON_DEFAULT))
-            == "d2b1d09b9c0cc8d2b024bfc7257f670fcfd76057")
+            == "20b18c4c2f6c8d23335fd793536710ab3b4c4c06")

@@ -7,10 +7,10 @@ import struct
 
 import pytest
 
-from conftest import (F1_PATH, chained_known_tree_model, config_offset,
-                      count_lexical_entries, f1_model_with_lexicon,
-                      lexicon_columns, lexicon_section,
-                      tree_header, tree_start, with_crc)
+from conftest import (F1_PATH, LEAF, chained_known_tree_model, config_offset,
+                      count_lexical_entries, f1_model_with_known_nodes,
+                      f1_model_with_lexicon, lexicon_columns, lexicon_section,
+                      preorder, readme_section, with_crc, with_tree_ints)
 from memtag.cli import build_parser, main
 from memtag.corpus import read_corpus, write_corpus
 from memtag.errors import ModelFormatError
@@ -33,6 +33,15 @@ def test_train_summary_reports_ambiguity(tmp_path, capsys):
     assert "8 word types" in out
     assert "1 (12.5%) ambiguous" in out
     assert os.path.getsize(path) > 0
+
+
+def test_train_refuses_a_marker_tag(tmp_path, capsys):
+    corpus = tmp_path / "marker.tagged"
+    corpus.write_text("a/= b/NN\n")
+    path = tmp_path / "m.model"
+    assert main(["train", str(corpus), "--model", str(path)]) == 2
+    assert "word 'a' has the tag '=', a marker" in capsys.readouterr().err
+    assert not path.exists()
 
 
 def test_train_missing_input(tmp_path):
@@ -166,14 +175,10 @@ def test_tag_tree_default_out_of_range(model_path, tmp_path, capsys):
     # the unknown tree's root default, patched past the symbol table: an
     # unseen word with no seen letter misses at the root and would answer it
     model = TaggerModel.load(model_path)
-    data = bytearray(model.to_bytes())
     tree = model.unknown_tree
-    header = tree_header(tree)
-    root = tree_start(model, tree) + len(header)
-    assert data[root:root + 4] == tree.root.default.to_bytes(4, "little")
-    data[root:root + 4] = (0xFFFFFFFF).to_bytes(4, "little")
+    ints = preorder(tree.root)
     bad = tmp_path / "bad.model"
-    bad.write_bytes(with_crc(data))
+    bad.write_bytes(with_tree_ints(model, tree, [0xFFFFFFFF, *ints[1:]]))
     inp = tmp_path / "in.txt"
     inp.write_text("zzz\n")
     assert main(["tag", str(inp), "--model", str(bad)]) == 3
@@ -206,8 +211,19 @@ def trailing_byte_model():
     (zero_count_model(), "lexicon count of zero"),  # CRC-valid
     (chained_known_tree_model(3000), "below the last feature"),  # CRC-valid
     (trailing_byte_model(), "1 trailing bytes"),  # CRC-valid
+    # CRC-valid tree sections; f1's symbols are all below 256
+    (f1_model_with_known_nodes(LEAF, width=2), "width 2 is wider"),
+    (f1_model_with_known_nodes(LEAF, width=4), "width 4 is wider"),
+    (f1_model_with_known_nodes(LEAF, n_ints=1 << 20), "truncated column"),
+    (f1_model_with_known_nodes(LEAF + [0]), "1 tree values left over"),
+    (f1_model_with_known_nodes([0, 1, 0]), "list index out of range"),
+    (f1_model_with_known_nodes([200, 0]), "tree default 200 is not a symbol"),
+    (f1_model_with_known_nodes([0, 1, 200, *LEAF]),
+     "tree arc value 200 is not a symbol"),
 ], ids=["short_header", "crc_mismatch", "zero_count", "deep_tree",
-        "trailing_byte"])
+        "trailing_byte", "wide_column_2", "wide_column_4", "long_tree",
+        "tree_values_left_over", "short_tree", "tree_default",
+        "tree_arc_value"])
 def test_tag_malformed_model_exits_3(data, message, tmp_path, capsys):
     bad = tmp_path / "bad.model"
     bad.write_bytes(data)
@@ -230,22 +246,23 @@ def test_model_errors_name_the_file(command, tmp_path, capsys):
 
 
 def test_v1_model_rejected(tmp_path, capsys):
-    """Version 1 to 4 files are refused by their version, before the CRC
+    """Version 1 to 5 files are refused by their version, before the CRC
     is read, with a message that says to retrain."""
     # each header, then the start of that version's interner table: "=" and
     # "UNK-A", as v1's count and length-prefixed texts, as the text list of
     # v2 to v4 (a column of code-point lengths, then the byte count and the
-    # texts joined)
+    # texts joined); v5 stores no marker, so its table starts with "DT"
     text_list = struct.pack("<BI2BI", 1, 2, 1, 5, 6) + b"=UNK-A"
     old = {1: struct.pack("<II", 2, 1) + b"=" + struct.pack("<I", 5)
            + b"UNK-A",
-           2: text_list, 3: text_list, 4: text_list}
+           2: text_list, 3: text_list, 4: text_list,
+           5: struct.pack("<I", 3) + b"DT\n"}
     inp = tmp_path / "in.txt"
     inp.write_text("the cat .\n")
     for version, interner in old.items():
         data = b"MBT1" + struct.pack("<H", version) + interner
         with pytest.raises(ModelFormatError,
-                           match=f"version {version} .*version 5.*retrain"):
+                           match=f"version {version} .*version 6.*retrain"):
             TaggerModel.from_bytes(data)
         bad = tmp_path / f"v{version}.model"
         bad.write_bytes(data)
@@ -422,10 +439,7 @@ def readme_synopsis():
     """Per subcommand, its lines of README's `## Command line` block,
     joined: a line that starts with `memtag` opens a subcommand, and each
     indented line after it continues that subcommand."""
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
-        readme = fh.read()
-    block = readme.split("## Command line\n\n```\n", 1)[1].split("```", 1)[0]
+    block = readme_section("Command line").split("```\n", 2)[1]
     synopsis = {}
     for line in block.splitlines():
         if line.startswith("memtag "):

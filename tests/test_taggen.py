@@ -9,13 +9,14 @@ from conftest import (LEAF, PV_LEXICON, PV_SENTENCE, chained_known_tree_model,
                       column, config_offset, count_lexical_entries,
                       count_lexicons, f1_model_with_known_nodes,
                       f1_model_with_lexicon, fingerprint, interner_table,
-                      lexicon_columns, lexicon_section, text_table, texts,
+                      lexicon_columns, lexicon_section, preorder,
+                      readme_section, text_table, texts, tree_section,
                       tree_start, with_crc)
 from memtag import taggen
 from memtag.corpus import Corpus, parse_corpus
 from memtag.errors import ModelFormatError, ParameterError, StructureError
 from memtag.evaluation import compare_algorithms, evaluate
-from memtag.igtree import feature_order, stats
+from memtag.igtree import IGTree, IGTreeNode, feature_order, stats
 from memtag.interning import BOUNDARY, UNKNOWN_MARK, Interner
 from memtag.taggen import (Lexicon, TaggerConfig, TaggerModel, _lexicon_tag,
                            _read_texts, _texts, build_lexicon, extract_known_cases,
@@ -209,6 +210,36 @@ def test_lexicon_word_without_positive_tag_counts_rejected():
             with pytest.raises(ParameterError,
                                match=r"word 'w' needs tag counts, each >= 1"):
                 lexicon_from_tag_counts(counts, Interner())
+
+
+def test_lexicon_refuses_a_marker_tag():
+    """A tag "=" or "UNK-A", or a lexicon tag joined as one, would take
+    that marker's id, so a query could not tell it from a boundary or an
+    unseen word: training refuses it and names it."""
+    for counts, message in (
+            ({"a": {"=": 1}}, "word 'a' has the tag '=', a marker"),
+            ({"b": {"NN": 1}, "a": {"NN": 2, "UNK-A": 1}},
+             "word 'a' has the tag 'UNK-A', a marker"),
+            ({"w": {"UNK": 2, "A": 1}}, "lexicon tag 'UNK-A' of 'w' is a marker")):
+        with pytest.raises(ParameterError, match=message):
+            lexicon_from_tag_counts(counts, Interner())
+    for text, message in (
+            ("a/= b/NN\n", "word 'a' has the tag '=', a marker"),
+            ("the/DT w/UNK w/UNK w/A\n",
+             "lexicon tag 'UNK-A' of 'w' is a marker")):
+        with pytest.raises(ParameterError, match=message):
+            build_lexicon(parse_corpus(text), Interner())
+        with pytest.raises(ParameterError, match=message):
+            train(parse_corpus(text))
+    # a model file whose tags join to a marker is refused on load
+    interner = Interner.from_table(["UNK", "A"])
+    unk, a = interner.id_of("UNK"), interner.id_of("A")
+    lexicon = Lexicon({"w": unk}, [2], [unk, a], [2, 1], {"w": (unk, a)})
+    model = TaggerModel(interner, lexicon, TaggerConfig(), (0.0,) * 4,
+                        (0.0,) * 6, None, None, unk)
+    with pytest.raises(ModelFormatError,
+                       match="lexicon tag 'UNK-A' of 'w' is a marker"):
+        TaggerModel.from_bytes(model.to_bytes())
 
 
 def test_lexicon_routing_cache_is_not_a_parameter():
@@ -553,6 +584,18 @@ def test_model_version_mismatch(f1):
         TaggerModel.from_bytes(bytes(data))
 
 
+def test_readme_model_file_section_names_the_format_version():
+    """README's model-file section describes the version the writer
+    writes and the reader reads, and names every older one as refused."""
+    section = readme_section("Model file")
+    version = taggen.FORMAT_VERSION
+    for phrase in (f"Version {version} is a sequence of sections",
+                   f"then a u16 version ({version})",
+                   f"a version other than {version} (a version 1 to "
+                   f"{version - 1} file is named"):
+        assert " ".join(phrase.split()) in " ".join(section.split()), phrase
+
+
 def test_model_truncated(f1):
     data = train(f1).to_bytes()
     for n in range(len(data)):  # every proper prefix, the header's included
@@ -581,10 +624,10 @@ def test_changed_content_fails_on_load(f1):
     tags = config_offset(closed_model) + 14  # after the 14-byte config
     sorted_tags = text_table([".", "DT"])
     assert closed[tags:tags + len(sorted_tags)] == sorted_tags
-    arc = struct.pack("<I", 0) + LEAF
+    arc = [0, *LEAF]
     for bad, message in (
             (with_crc(data[:flag] + b"\x02" + data[flag + 1:]), "flag byte 2 "),
-            (f1_model_with_known_nodes(struct.pack("<2I", 0, 2) + arc * 2),
+            (f1_model_with_known_nodes([0, 2, *arc, *arc]),
              "repeated tree arc value"),
             (with_table([BOUNDARY, *texts]), "repeats a text"),
             (with_table([*texts, UNKNOWN_MARK]), "repeats a text"),
@@ -599,9 +642,10 @@ def test_changed_content_fails_on_load(f1):
 
 
 def test_lexicon_checked_on_load(f1):
-    """Every lexicon tag id is a symbol, every count positive, no word or
-    tag repeats, the word list ends with a newline, each column has one
-    width, and a recomputed lexicon tag is a symbol."""
+    """Every lexicon tag id is a symbol and no marker, every count
+    positive, no word or tag repeats, the word list ends with a newline,
+    each column has one width, and a recomputed lexicon tag is a
+    symbol."""
     model = train(f1)
     words, n_tags, tag_ids, counts = lexicon_columns(model)
     id_of = model.interner.id_of
@@ -630,6 +674,10 @@ def test_lexicon_checked_on_load(f1):
             (lexicon_section(words, n_tags, replaced(tag_ids, j, n_symbols),
                              counts),
              "tag id is not a symbol"),
+            (lexicon_section(words, n_tags, replaced(tag_ids, j, 0), counts),
+             "tag id is a marker"),
+            (lexicon_section(words, n_tags, replaced(tag_ids, j, 1), counts),
+             "tag id is a marker"),
             (lexicon_section(words, n_tags, tag_ids, replaced(counts, j, 0)),
              "count of zero"),
             (cat_tags([]), "count of zero"),
@@ -657,6 +705,36 @@ def test_tree_deeper_than_arity_fails_on_load():
             TaggerModel.from_bytes(chained_known_tree_model(depth))
 
 
+def test_hostile_tree_section_fails_on_load(f1):
+    """A tree section's ints are checked as a column, then as a tree: one
+    width per column, a count the file holds, every int used and none
+    missing, every default and arc value a symbol."""
+    n_symbols = len(train(f1).interner)
+    assert n_symbols < 1 << 8
+    chain = [0, 1, 0] * 4 + LEAF
+    assert TaggerModel.from_bytes(f1_model_with_known_nodes(chain)).known_tree
+    for bad, message in (
+            (f1_model_with_known_nodes(chain, width=2),
+             "width 2 is wider than its values"),
+            (f1_model_with_known_nodes(chain, width=4),
+             "width 4 is wider than its values"),
+            (f1_model_with_known_nodes(chain, n_ints=(1 << 32) - 1),
+             "truncated column"),
+            (f1_model_with_known_nodes(chain + [0]), "1 tree values left over"),
+            (f1_model_with_known_nodes(chain + LEAF),
+             "2 tree values left over"),
+            (f1_model_with_known_nodes(chain[:-1]),
+             "corrupt model file: list index out of range"),
+            (f1_model_with_known_nodes([]),
+             "corrupt model file: list index out of range"),
+            (f1_model_with_known_nodes([n_symbols, 0]),
+             f"tree default {n_symbols} is not a symbol"),
+            (f1_model_with_known_nodes([0, 1, n_symbols, *LEAF]),
+             f"tree arc value {n_symbols} is not a symbol")):
+        with pytest.raises(ModelFormatError, match=message):
+            TaggerModel.from_bytes(bad)
+
+
 def test_tree_without_cases_fails_on_load(f1):
     """`build` refuses an empty base, so a stored case count of 0 (CRC
     recomputed) is refused on load, for either tree."""
@@ -672,14 +750,13 @@ def test_tree_without_cases_fails_on_load(f1):
 
 def test_tree_order_follows_gains(f1):
     """The file stores gains but no feature order: right after the ten
-    gains come the known tree's presence byte, case count and root. With
-    the known gains reversed (CRC recomputed), the loaded tree tests its
-    features in the reversed gains' order, and writes the file back."""
+    gains come the known tree's presence byte and section. With the known
+    gains reversed (CRC recomputed), the loaded tree tests its features in
+    the reversed gains' order, and writes the file back."""
     model = train(f1)
     data = model.to_bytes()
     gains = struct.pack("<4d6d", *model.known_weights, *model.unknown_weights)
-    known = struct.pack("<B2I", 1, model.known_tree.case_count,
-                        model.known_tree.root.default)
+    known = b"\x01" + tree_section(model.known_tree)
     start = data.index(gains + known)
     for loaded in (model, TaggerModel.from_bytes(data)):
         for tree, weights in ((loaded.known_tree, loaded.known_weights),
@@ -798,17 +875,40 @@ def test_stored_marker_is_a_repeated_symbol(texts, marker, data):
         Interner.from_table([*texts[:at], marker, *texts[at:]])
 
 
-def test_tree_section_size_is_stats_serialized_bytes(f1):
-    m = train(f1)
-    size = len(m.to_bytes())
-    parts = (m.interner, m.lexicon, m.config, m.known_weights,
-             m.unknown_weights)
-    no_known = TaggerModel(*parts, None, m.unknown_tree, m.fallback_tag)
-    no_unknown = TaggerModel(*parts, m.known_tree, None, m.fallback_tag)
-    assert (size - len(no_known.to_bytes())
-            == stats(m.known_tree).serialized_bytes)
-    assert (size - len(no_unknown.to_bytes())
-            == stats(m.unknown_tree).serialized_bytes)
+def test_tree_section_size_and_stats_bytes(f1, synth_small):
+    """A tree's section, after its presence byte, is 9 bytes (case count,
+    int count, column width), then its 3·nodes − 1 preorder ints at the
+    column's width: 1 byte while every int is below 256, 2 bytes once one
+    is not. `stats` counts the same slots at 4 B each, as criterion 4
+    counts the expanded store."""
+    for corpus in (f1, synth_small):
+        m = train(corpus)
+        assert len(m.interner) <= 1 << 8
+        size = len(m.to_bytes())
+        parts = (m.interner, m.lexicon, m.config, m.known_weights,
+                 m.unknown_weights)
+        for tree, without in (
+                (m.known_tree,
+                 TaggerModel(*parts, None, m.unknown_tree, m.fallback_tag)),
+                (m.unknown_tree,
+                 TaggerModel(*parts, m.known_tree, None, m.fallback_tag))):
+            st = stats(tree)
+            assert size - len(without.to_bytes()) == 9 + 3 * st.nodes - 1
+            assert st.serialized_bytes == 4 + 8 * st.nodes + 4 * st.arcs
+    interner = Interner.from_table(f"s{i}" for i in range(300))
+    weights = (0.4, 0.3, 0.2, 0.1)
+    tree = IGTree(IGTreeNode(299, {5: IGTreeNode(7, {})}),
+                  feature_order(weights), 1)
+
+    def model(known_tree):
+        return TaggerModel(interner, Lexicon({}, [], [], [], {}),
+                           TaggerConfig(), weights, (0.0,) * 6, known_tree,
+                           None, 2)
+
+    data = model(tree).to_bytes()
+    assert len(data) - len(model(None).to_bytes()) == 9 + 2 * (3 * 2 - 1)
+    assert stats(tree).serialized_bytes == 4 + 8 * 2 + 4 * 1
+    assert TaggerModel.from_bytes(data).to_bytes() == data
 
 
 # The second keeps more tags per word and stores a closed-class list.
