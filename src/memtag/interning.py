@@ -1,8 +1,10 @@
 """String interning: every feature value becomes a small int; no word does.
 
 One interner is shared per tagger model, so feature comparison everywhere else
-is plain integer equality. Id 0 is always the sentence-boundary marker and id 1
-the marker for an unknown right neighbor; both exist in every interner.
+is plain integer equality. Ids 0 and 1 are the two markers, the sentence
+boundary and an unknown right neighbor, in every interner. No text maps to
+them: the texts "=" and "UNK-A" only display the markers, and met as a tag,
+a lexicon tag or a letter each is an ordinary value with an id of its own.
 """
 
 from __future__ import annotations
@@ -18,28 +20,20 @@ NO_SYMBOL = -1
 
 
 class Interner:
-    """Bijective text <-> id map. Ids are dense and assigned in intern order."""
+    """Bijective value text <-> id map, ids 2 on, dense and assigned in
+    intern order, after the two marker ids."""
 
     __slots__ = ("_ids", "_texts")
-    boundary = 0  # the ids of BOUNDARY and UNKNOWN_MARK in every interner
+    boundary = 0  # the ids of the markers, shown as BOUNDARY and UNKNOWN_MARK
     unknown_mark = 1
 
     def __init__(self, texts: Iterable[str] = ()):
-        self._ids: dict[str, int] = {}
-        self._texts: list[str] = []
-        self.intern_all([BOUNDARY, UNKNOWN_MARK, *texts])
-
-    @classmethod
-    def from_table(cls, texts: Iterable[str]) -> "Interner":
-        """The two markers (ids 0 and 1), then `texts` in id order, in one
-        step. Raises ValueError if a text repeats or is a marker."""
-        table = [BOUNDARY, UNKNOWN_MARK, *texts]
-        ids = dict(zip(table, range(len(table))))
-        if len(ids) != len(table):
+        """The two markers, then `texts` in id order. Raises ValueError if
+        a text repeats."""
+        self._texts = [BOUNDARY, UNKNOWN_MARK, *texts]
+        self._ids = dict(zip(self._texts[2:], range(2, len(self._texts))))
+        if len(self._ids) != len(self._texts) - 2:
             raise ValueError("interner table repeats a text")
-        interner = cls.__new__(cls)
-        interner._ids, interner._texts = ids, table
-        return interner
 
     def intern(self, text: str) -> int:
         sid = self._ids.get(text)

@@ -17,12 +17,13 @@ Case layouts
 Routing is defined once (`Lexicon.known_tags`): a word takes the known route
 when it is in the lexicon and is not a numeral routed to the unknown base.
 The a+1 value of a token is its right neighbor's known-route lexicon tag, or
-"UNK-A" when the neighbor is unseen or a numeral; training, tagging and the
-oracle build it the same way, so the query built at tagging time is the case
-training stored for the same context. During tagging the d slots come from
-the tagger's own earlier output (or from gold tags when replaying with gold
-left context), never from the lexicon. Windows never cross sentence
-boundaries; missing slots hold "=".
+the unknown marker when the neighbor is unseen or a numeral; training,
+tagging and the oracle build it the same way, so the query built at tagging
+time is the case training stored for the same context. During tagging the d
+slots come from the tagger's own earlier output (or from gold tags when
+replaying with gold left context), never from the lexicon. Windows never
+cross sentence boundaries; missing slots hold the boundary marker. Both
+markers are interner ids that no value text maps to (`interning`).
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .casebase import CaseBase, Vector, majority_class
 from .corpus import Corpus, collector_paused
 from .errors import ModelFormatError, ParameterError, StructureError
 from .igtree import IGTree, IGTreeNode, build, feature_order, prune, stats
-from .interning import BOUNDARY, NO_SYMBOL, UNKNOWN_MARK, Interner
+from .interning import NO_SYMBOL, Interner
 from .metrics import FeatureWeights, information_gains
 
 KNOWN_SLOTS = ("d-2", "d-1", "f", "a+1")
@@ -169,10 +170,8 @@ def _lexicon_from_columns(words: list[str], n_tags: list[int],
                           threshold: float) -> Lexicon:
     """The Lexicon of these words and columns. A single-tag word's lexicon
     tag is its one tag; a multi-tag word's is `symbol` (`interner.intern`
-    or `interner.id_of`) of the text `_lexicon_tag` joins; a joined text
-    that is a marker is refused with ParameterError, since it would take
-    the marker's id. The other checks fail only on a model file's
-    columns."""
+    or `interner.id_of`) of the text `_lexicon_tag` joins. The checks
+    fail only on a model file's columns."""
     starts = list(accumulate(n_tags, initial=0))
     tags = dict(zip(words, map(tag_ids.__getitem__, starts[:-1])))
     if len(tags) != len(words):
@@ -189,9 +188,6 @@ def _lexicon_from_columns(words: list[str], n_tags: list[int],
         if tag == NO_SYMBOL:
             raise ModelFormatError(
                 f"lexicon tag {joined!r} of {word!r} is not a symbol")
-        if tag in (interner.boundary, interner.unknown_mark):
-            raise ParameterError(
-                f"lexicon tag {joined!r} of {word!r} is a marker")
     return Lexicon(tags, n_tags, tag_ids, counts, surviving)
 
 
@@ -202,7 +198,7 @@ def build_lexicon(corpus: Corpus, interner: Interner,
     one lexicon tag per type by joining the survivors with "-" in
     descending-frequency order."""
     _check_threshold(threshold)
-    if not corpus.sentences:
+    if not any(corpus.sentences):
         raise ParameterError("cannot build a lexicon from an empty corpus")
     # Counter keys keep first-occurrence order
     by_word: dict[str, dict[str, int]] = {}
@@ -216,9 +212,7 @@ def lexicon_from_tag_counts(
         word_tag_counts: dict[str, dict[str, int]], interner: Interner,
         threshold: float = 0.10) -> Lexicon:
     """Build a lexicon from explicit per-word tag counts (for a corpus,
-    hand-built fixtures and external lexical resources). A tag, or a
-    lexicon tag joined from tags, that is a marker ("=" or "UNK-A") is
-    refused with ParameterError."""
+    hand-built fixtures and external lexical resources)."""
     _check_threshold(threshold)
     n_tags: list[int] = []
     tag_ids: list[int] = []
@@ -226,10 +220,6 @@ def lexicon_from_tag_counts(
     for word, by_tag in word_tag_counts.items():
         if not by_tag or min(by_tag.values()) < 1:
             raise ParameterError(f"word {word!r} needs tag counts, each >= 1")
-        for marker in (BOUNDARY, UNKNOWN_MARK):
-            if marker in by_tag:
-                raise ParameterError(
-                    f"word {word!r} has the tag {marker!r}, a marker")
         n_tags.append(len(by_tag))
         tag_ids += map(interner.intern, by_tag)
         counts += by_tag.values()
@@ -550,7 +540,7 @@ def _fit(base: CaseBase, arity: int
 @collector_paused
 def train(corpus: Corpus, config: TaggerConfig = TaggerConfig()) -> TaggerModel:
     """Generate a complete tagger model from a tagged corpus."""
-    if not corpus.sentences:
+    if not any(corpus.sentences):
         raise ParameterError("cannot train on an empty corpus")
     interner = Interner()
     lexicon = build_lexicon(corpus, interner, config.threshold)
@@ -620,7 +610,7 @@ def _write_model(model: TaggerModel) -> bytes:
 
         header     b"MBT1", u16 version
         interner   every symbol (feature value) text in id order after the
-                   two markers (`Interner.from_table` adds them), as texts
+                   two markers, which every interner has, as texts
         config     f64 threshold, u8 route numbers to unknown, fallback
                    tag, u8 has closed classes (0 or 1); if 1, the sorted
                    closed-class tags as texts
@@ -800,7 +790,7 @@ def _read_model(buf: bytes) -> TaggerModel:
                                "or truncated")
     try:
         texts, off = _read_texts(body, 6)
-        interner = Interner.from_table(texts)
+        interner = Interner(texts)
         n_symbols = len(interner)
         threshold, route_numbers, fallback, has_closed = (
             _CONFIG.unpack_from(body, off))
@@ -825,9 +815,8 @@ def _read_model(buf: bytes) -> TaggerModel:
     except ModelFormatError:
         raise
     except (struct.error, IndexError, ValueError) as exc:
-        # ValueError covers bad UTF-8, Interner.from_table's checks, and
-        # TaggerConfig's threshold check and a lexicon tag that is a marker
-        # (both ParameterErrors)
+        # ValueError covers bad UTF-8, a repeated interner text and
+        # TaggerConfig's threshold check (a ParameterError)
         raise ModelFormatError(f"corrupt model file: {exc}") from exc
     if off != len(body):
         raise ModelFormatError(f"{len(body) - off} trailing bytes")

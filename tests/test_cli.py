@@ -35,13 +35,19 @@ def test_train_summary_reports_ambiguity(tmp_path, capsys):
     assert os.path.getsize(path) > 0
 
 
-def test_train_refuses_a_marker_tag(tmp_path, capsys):
+def test_train_and_tag_marker_texts_as_tags(tmp_path, capsys):
+    """The tags "=" and "UNK-A", and a lexicon tag joined to "UNK-A",
+    train like any other and come back from `tag`."""
     corpus = tmp_path / "marker.tagged"
-    corpus.write_text("a/= b/NN\n")
-    path = tmp_path / "m.model"
-    assert main(["train", str(corpus), "--model", str(path)]) == 2
-    assert "word 'a' has the tag '=', a marker" in capsys.readouterr().err
-    assert not path.exists()
+    corpus.write_text("a/= b/UNK-A ./.\nw/UNK ./.\nw/UNK ./.\nw/A x/X ./.\n")
+    path = str(tmp_path / "m.model")
+    assert main(["train", str(corpus), "--model", path]) == 0
+    inp = tmp_path / "in.txt"
+    inp.write_text("a b .\nw .\nw x .\n")
+    capsys.readouterr()
+    assert main(["tag", str(inp), "--model", path]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "a/= b/UNK-A ./.", "w/UNK ./.", "w/A x/X ./."]
 
 
 def test_train_missing_input(tmp_path):

@@ -18,10 +18,10 @@ from memtag.errors import ModelFormatError, ParameterError, StructureError
 from memtag.evaluation import compare_algorithms, evaluate
 from memtag.igtree import IGTree, IGTreeNode, feature_order, stats
 from memtag.interning import BOUNDARY, UNKNOWN_MARK, Interner
-from memtag.taggen import (Lexicon, TaggerConfig, TaggerModel, _lexicon_tag,
-                           _read_texts, _texts, build_lexicon, extract_known_cases,
-                           extract_unknown_cases, is_number,
-                           lexicon_from_tag_counts, train)
+from memtag.taggen import (UNKNOWN_SLOTS, Lexicon, TaggerConfig, TaggerModel,
+                           _lexicon_tag, _read_texts, _texts, build_lexicon,
+                           extract_known_cases, extract_unknown_cases,
+                           is_number, lexicon_from_tag_counts, train)
 from memtag.synth import SynthConfig, synth_corpus
 
 
@@ -212,34 +212,57 @@ def test_lexicon_word_without_positive_tag_counts_rejected():
                 lexicon_from_tag_counts(counts, Interner())
 
 
-def test_lexicon_refuses_a_marker_tag():
-    """A tag "=" or "UNK-A", or a lexicon tag joined as one, would take
-    that marker's id, so a query could not tell it from a boundary or an
-    unseen word: training refuses it and names it."""
-    for counts, message in (
-            ({"a": {"=": 1}}, "word 'a' has the tag '=', a marker"),
-            ({"b": {"NN": 1}, "a": {"NN": 2, "UNK-A": 1}},
-             "word 'a' has the tag 'UNK-A', a marker"),
-            ({"w": {"UNK": 2, "A": 1}}, "lexicon tag 'UNK-A' of 'w' is a marker")):
+def test_marker_texts_are_ordinary_tags():
+    """The tags "=" and "UNK-A", and a lexicon tag joined to "UNK-A", are
+    values like any other: they train, save, load back to the same bytes
+    and come back from tagging, each with an id of its own, not a
+    marker's."""
+    model = train(parse_corpus(
+        "a/= b/UNK-A ./.\nw/UNK ./.\nw/UNK ./.\nw/A x/X ./.\n"))
+    data = model.to_bytes()
+    loaded = TaggerModel.from_bytes(data)
+    assert loaded.to_bytes() == data
+    interner = loaded.interner
+    assert loaded.lexicon.tags["w"] == interner.id_of("UNK-A")
+    for words, tags in ((["a", "b", "."], ["=", "UNK-A", "."]),
+                        (["w", "."], ["UNK", "."]),
+                        (["w", "x", "."], ["A", "X", "."])):
+        assert model.tag(words) == loaded.tag(words) == tags
+        assert min(map(interner.id_of, tags)) >= 2
+
+
+def test_letter_equals_sign_is_no_boundary():
+    """A word's letter "=" is a value, not the padding: the unknown-word
+    queries of "=xy" and "xy" differ at p and s-3, and no letter slot of
+    "=xy" holds the boundary."""
+    model = train(parse_corpus("the/DT dog/NN ./.\nthe/DT =ab/NN ./.\n"))
+    interner = model.interner
+    equals = interner.id_of("=")
+    assert equals >= 2
+    (_, odd, _), (_, plain, _) = (model.tag_records(["the", w, "."])
+                                  for w in ("=xy", "xy"))
+    assert odd.route == plain.route == "unknown"
+    p, s3 = UNKNOWN_SLOTS.index("p"), UNKNOWN_SLOTS.index("s-3")
+    assert odd.query[p] == odd.query[s3] == equals
+    assert plain.query[s3] == interner.boundary != equals
+    assert plain.query[p] != equals
+    letters = [odd.query[UNKNOWN_SLOTS.index(s)]
+               for s in ("p", "s-3", "s-2", "s-1")]
+    assert interner.boundary not in letters
+
+
+@pytest.mark.parametrize("corpus", [Corpus([[]]), Corpus([[], []])])
+def test_corpus_without_tokens_is_refused(corpus):
+    """Empty sentences are no corpus: each entry point names the problem
+    instead of failing further in."""
+    for call, message in (
+            (lambda: train(corpus), "cannot train on an empty corpus"),
+            (lambda: build_lexicon(corpus, Interner()),
+             "cannot build a lexicon from an empty corpus"),
+            (lambda: compare_algorithms(corpus, corpus),
+             "cannot build a lexicon from an empty corpus")):
         with pytest.raises(ParameterError, match=message):
-            lexicon_from_tag_counts(counts, Interner())
-    for text, message in (
-            ("a/= b/NN\n", "word 'a' has the tag '=', a marker"),
-            ("the/DT w/UNK w/UNK w/A\n",
-             "lexicon tag 'UNK-A' of 'w' is a marker")):
-        with pytest.raises(ParameterError, match=message):
-            build_lexicon(parse_corpus(text), Interner())
-        with pytest.raises(ParameterError, match=message):
-            train(parse_corpus(text))
-    # a model file whose tags join to a marker is refused on load
-    interner = Interner.from_table(["UNK", "A"])
-    unk, a = interner.id_of("UNK"), interner.id_of("A")
-    lexicon = Lexicon({"w": unk}, [2], [unk, a], [2, 1], {"w": (unk, a)})
-    model = TaggerModel(interner, lexicon, TaggerConfig(), (0.0,) * 4,
-                        (0.0,) * 6, None, None, unk)
-    with pytest.raises(ModelFormatError,
-                       match="lexicon tag 'UNK-A' of 'w' is a marker"):
-        TaggerModel.from_bytes(model.to_bytes())
+            call()
 
 
 def test_lexicon_routing_cache_is_not_a_parameter():
@@ -605,8 +628,8 @@ def test_model_truncated(f1):
 
 def test_changed_content_fails_on_load(f1):
     """A flag byte other than 0/1, a repeated arc value, an interner table
-    that repeats a text or stores a marker, and a closed-class list out of
-    order would each load as a different model."""
+    that repeats a text, and a closed-class list out of order would each
+    load as a different model."""
     model = train(f1)
     data = model.to_bytes()
     texts = list(model.interner)[2:]  # the file stores no marker
@@ -629,8 +652,6 @@ def test_changed_content_fails_on_load(f1):
             (with_crc(data[:flag] + b"\x02" + data[flag + 1:]), "flag byte 2 "),
             (f1_model_with_known_nodes([0, 2, *arc, *arc]),
              "repeated tree arc value"),
-            (with_table([BOUNDARY, *texts]), "repeats a text"),
-            (with_table([*texts, UNKNOWN_MARK]), "repeats a text"),
             (with_table([texts[0], *texts]), "repeats a text"),
             (with_crc(data[:5 + len(table)] + b"x" + data[6 + len(table):]),
              "text list does not end with a newline"),
@@ -812,9 +833,9 @@ def test_write_refuses_a_newline_in_the_interner_or_a_word(f1):
     """A text list splits at newlines, so the writer refuses one in an
     interner text or a lexicon word (a closed-class tag: below)."""
     m = train(f1)
-    interner = Interner.from_table([*list(m.interner)[2:], "x\ny"])
+    interner = Interner([*list(m.interner)[2:], "x\ny"])
     lexicon = lexicon_from_tag_counts(
-        {"a\nb": {"NN": 1}}, Interner.from_table(list(m.interner)[2:]))
+        {"a\nb": {"NN": 1}}, Interner(list(m.interner)[2:]))
     for interner, lexicon in ((interner, m.lexicon), (m.interner, lexicon)):
         bad = TaggerModel(interner, lexicon, m.config, m.known_weights,
                           m.unknown_weights, m.known_tree, m.unknown_tree,
@@ -866,13 +887,24 @@ def test_cut_or_unterminated_text_list_is_refused(texts, data):
         _read_texts(full[:-1] + bytes([last]), 0)
 
 
-@given(line_texts, st.sampled_from([BOUNDARY, UNKNOWN_MARK]), st.data())
-def test_stored_marker_is_a_repeated_symbol(texts, marker, data):
-    texts = list(dict.fromkeys(texts))  # distinct, as an interner's are
-    Interner.from_table(t for t in texts if t not in (BOUNDARY, UNKNOWN_MARK))
-    at = data.draw(st.integers(0, len(texts)))
-    with pytest.raises(ValueError, match="repeats a text"):
-        Interner.from_table([*texts[:at], marker, *texts[at:]])
+@given(st.lists(st.one_of(st.sampled_from([BOUNDARY, UNKNOWN_MARK]),
+                         line_text), unique=True), line_text, st.data())
+def test_stored_marker_text_is_an_ordinary_value(texts, new, data):
+    """Each stored text, a marker's display text included, gets its index
+    + 2; no text maps to a marker id; a repeated text is still refused."""
+    interner = Interner(texts)
+    for i, text in enumerate(texts):
+        assert interner.id_of(text) == i + 2
+        assert interner.text(i + 2) == text
+    assert interner.intern(new) >= 2
+    assert interner.id_of(new) >= 2
+    assert interner.text(interner.boundary) == BOUNDARY
+    assert interner.text(interner.unknown_mark) == UNKNOWN_MARK
+    if texts:
+        again = data.draw(st.sampled_from(texts))
+        at = data.draw(st.integers(0, len(texts)))
+        with pytest.raises(ValueError, match="repeats a text"):
+            Interner([*texts[:at], again, *texts[at:]])
 
 
 def test_tree_section_size_and_stats_bytes(f1, synth_small):
@@ -895,7 +927,7 @@ def test_tree_section_size_and_stats_bytes(f1, synth_small):
             st = stats(tree)
             assert size - len(without.to_bytes()) == 9 + 3 * st.nodes - 1
             assert st.serialized_bytes == 4 + 8 * st.nodes + 4 * st.arcs
-    interner = Interner.from_table(f"s{i}" for i in range(300))
+    interner = Interner(f"s{i}" for i in range(300))
     weights = (0.4, 0.3, 0.2, 0.1)
     tree = IGTree(IGTreeNode(299, {5: IGTreeNode(7, {})}),
                   feature_order(weights), 1)
