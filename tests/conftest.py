@@ -8,7 +8,9 @@ from hypothesis import HealthCheck, settings
 
 from memtag.casebase import CaseBase, majority_class
 from memtag.corpus import read_corpus
+from memtag.igtree import stats
 from memtag.interning import Interner
+from memtag.modelfile import sections
 from memtag.synth import SynthConfig, synth_corpus
 from memtag.taggen import LexicalEntry, Lexicon, train
 
@@ -90,44 +92,42 @@ def preorder(node):
     return ints
 
 
-def tree_header(tree, n_ints):
-    """The first bytes of a tree's section in the model file, after its
-    presence byte: the case count and the count of its preorder ints. The
-    feature order is not stored."""
-    return struct.pack("<2I", tree.case_count, n_ints)
-
-
-def tree_section(tree):
-    """A tree's section in the model file, after its presence byte: its
-    header, then its preorder ints as a column."""
-    ints = preorder(tree.root)
-    return tree_header(tree, len(ints)) + column(ints)
-
-
-def tree_start(model, tree):
-    """Where `tree`'s section starts in `model`'s file, after its presence
-    byte. Both trees must be present: they end the body, the known one and
-    then the unknown one, each after its presence byte."""
-    start = len(model.to_bytes()) - 4 - len(tree_section(model.unknown_tree))
-    if tree is model.unknown_tree:
-        return start
-    return start - 1 - len(tree_section(model.known_tree))
+def tree_section(tree, ints=None, n_ints=None, width=None, case_count=None):
+    """A tree's section in the model file: its presence byte, then the case
+    count, the count of its preorder ints and those ints as a column. The
+    feature order is not stored. An absent tree (None) is its presence
+    byte alone. `ints` (as a column of `width`, by default the smallest),
+    `n_ints` (by default the count of the ints) and `case_count` replace
+    the tree's own."""
+    if tree is None:
+        return b"\x00"
+    if ints is None:
+        ints = preorder(tree.root)
+    return (struct.pack("<B2I", 1,
+                        tree.case_count if case_count is None else case_count,
+                        len(ints) if n_ints is None else n_ints)
+            + column(ints, width))
 
 
 LEAF = [0, 0]  # a tree node's ints: default symbol 0, no arcs
 
 
-def with_tree_ints(model, tree, ints, n_ints=None, width=None):
-    """`model`'s file with `tree`'s preorder ints replaced by `ints` (as a
-    column of `width`, by default the smallest), its stored int count by
-    `n_ints` (by default the count of `ints`), the CRC recomputed."""
-    data = model.to_bytes()
-    start = tree_start(model, tree)
-    old = tree_section(tree)
-    assert data[start:start + len(old)] == old
-    new = (tree_header(tree, len(ints) if n_ints is None else n_ints)
-           + column(ints, width))
-    return with_crc(data[:start] + new + data[start + len(old):])
+def with_section(data, name, old, new):
+    """The model file `data` with its section `name`, which must hold
+    exactly `old`, replaced by `new`, the CRC recomputed. The section is
+    found by the reader's own section map."""
+    ((start, stop),) = [(a, b) for n, a, b in sections(data) if n == name]
+    assert data[start:stop] == old
+    return with_crc(data[:start] + new + data[stop:])
+
+
+def with_tree_ints(model, name, ints, n_ints=None, width=None):
+    """`model`'s file with the preorder ints of its tree `name`
+    ("known_tree" or "unknown_tree", the section and attribute name)
+    replaced as `tree_section` replaces them, the CRC recomputed."""
+    tree = getattr(model, name)
+    return with_section(model.to_bytes(), name, tree_section(tree),
+                        tree_section(tree, ints, n_ints, width))
 
 
 def with_crc(data):
@@ -156,15 +156,32 @@ def text_table(texts):
     return struct.pack("<I", len(blob)) + blob
 
 
+def header_section(magic=b"MBT1", version=6):
+    """A model file's header section: the magic bytes and a u16 version."""
+    return magic + struct.pack("<H", version)
+
+
 def interner_table(model):
     """The interner section of `model`'s file: its texts after the two
     markers, which the file does not store."""
     return text_table(list(model.interner)[2:])
 
 
-def config_offset(model):
-    """Where the config section starts: after the header and the interner."""
-    return 6 + len(interner_table(model))
+def config_section(model, **change):
+    """The config section of `model`'s file: the f64 threshold, the u8
+    route-numerals flag, the fallback tag, the u8 has-closed-classes flag,
+    then, if there are closed classes, their sorted tags as a text list.
+    `change` replaces fields by name: `threshold`, `has_closed` or
+    `closed` (tags written in the order given)."""
+    config = model.config
+    closed = config.closed_class_tags
+    fields = {"threshold": config.threshold, "has_closed": closed is not None,
+              "closed": None if closed is None else sorted(closed), **change}
+    head = struct.pack("<dBIB", fields["threshold"],
+                       config.route_numbers_to_unknown, model.fallback_tag,
+                       fields["has_closed"])
+    return head + (b"" if fields["closed"] is None
+                   else text_table(fields["closed"]))
 
 
 def lexicon_columns(model):
@@ -185,11 +202,44 @@ def f1_model_with_lexicon(section):
     """The f1 model file with its lexicon section replaced by `section`,
     the CRC recomputed."""
     model = train(read_corpus(F1_PATH))
+    return with_section(model.to_bytes(), "lexicon",
+                        lexicon_section(*lexicon_columns(model)), section)
+
+
+SECTION_NAMES = ("header", "interner", "config", "lexicon", "weights",
+                 "known_tree", "unknown_tree", "trailer")
+
+
+def check_section_map(model):
+    """`model`'s file, whose section map names the sections in file order,
+    tiles the file, and places in each section the bytes that this file's
+    encoders build independently of the writer: a present tree's section
+    is 10 + width × (3·nodes − 1) bytes, presence byte included, and an
+    absent tree's is 1 byte."""
     data = model.to_bytes()
-    start = config_offset(model) + 14  # a config without closed classes
-    old = lexicon_section(*lexicon_columns(model))
-    assert data[start:start + len(old)] == old
-    return with_crc(data[:start] + section + data[start + len(old):])
+    found = sections(data)
+    assert tuple(name for name, _, _ in found) == SECTION_NAMES
+    bounds = [0, *(stop for _, _, stop in found)]
+    assert [(start, stop) for _, start, stop in found] == list(
+        zip(bounds, bounds[1:]))
+    assert bounds == sorted(bounds) and bounds[-1] == len(data)
+    weights = struct.pack("<4d6d", *model.known_weights, *model.unknown_weights)
+    want = {"header": header_section(), "interner": interner_table(model),
+            "config": config_section(model),
+            "lexicon": lexicon_section(*lexicon_columns(model)),
+            "weights": weights}
+    for name, start, stop in found:
+        if name == "trailer":
+            want[name] = struct.pack("<I", zlib.crc32(data[:start]))
+        elif name.endswith("_tree"):
+            tree = getattr(model, name)
+            want[name] = tree_section(tree)
+            size = 1
+            if tree is not None:
+                width = len(column([max(preorder(tree.root))])) - 1
+                size = 10 + width * (3 * stats(tree).nodes - 1)
+            assert stop - start == size
+        assert data[start:stop] == want[name], name
 
 
 def fingerprint(tree):
@@ -202,8 +252,8 @@ def fingerprint(tree):
 def f1_model_with_known_nodes(ints, n_ints=None, width=None):
     """The f1 model file with its known tree's preorder ints replaced as
     `with_tree_ints` replaces them, the CRC recomputed."""
-    model = train(read_corpus(F1_PATH))
-    return with_tree_ints(model, model.known_tree, ints, n_ints, width)
+    return with_tree_ints(train(read_corpus(F1_PATH)), "known_tree", ints,
+                          n_ints, width)
 
 
 def chained_known_tree_model(depth):
@@ -252,9 +302,12 @@ def f1():
     return read_corpus(F1_PATH)
 
 
+SYNTH_SMALL = SynthConfig(n_tokens=8_000, seed=11)
+
+
 @pytest.fixture(scope="session")
 def synth_small():
-    return synth_corpus(SynthConfig(n_tokens=8_000, seed=11))
+    return synth_corpus(SYNTH_SMALL)
 
 
 @pytest.fixture(scope="session")

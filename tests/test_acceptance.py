@@ -9,7 +9,8 @@ import time
 
 import pytest
 
-from conftest import PV_LEXICON, PV_SENTENCE, random_case_base, texts
+from conftest import (PV_LEXICON, PV_SENTENCE, check_section_map,
+                      random_case_base, texts)
 from memtag.casebase import CaseBase
 from memtag.corpus import cv_folds, parse_corpus
 from memtag.evaluation import compare_algorithms, evaluate, learning_curve
@@ -312,16 +313,31 @@ NON_DEFAULT = TaggerConfig(route_numbers_to_unknown=False,
                            closed_class_tags=frozenset({"DT", "."}))
 
 
-def test_model_bytes_pinned(model_100k, synth_100k, synth_medium):
+@pytest.fixture(scope="module")
+def pinned_models(model_100k, synth_100k, synth_medium):
+    """The four models whose bytes are pinned."""
+    return (model_100k, train(synth_100k, NON_DEFAULT), train(synth_medium),
+            train(synth_medium, NON_DEFAULT))
+
+
+def test_model_bytes_pinned(pinned_models):
     """Model files are byte-identical to those of earlier releases: a
     change to training or to the model format that alters a model's bytes
     must say so and re-pin."""
     def sha1(model):
         return hashlib.sha1(model.to_bytes()).hexdigest()
 
-    assert sha1(model_100k) == "30cdf02cf00ddb7909884d34a0ac0c928cb3b182"
-    assert (sha1(train(synth_100k, NON_DEFAULT))
+    m100k, m100k_non_default, medium, medium_non_default = pinned_models
+    assert sha1(m100k) == "30cdf02cf00ddb7909884d34a0ac0c928cb3b182"
+    assert (sha1(m100k_non_default)
             == "6b28af4480295be61db3f43f16400bdacc20a02a")
-    assert sha1(train(synth_medium)) == "521481b4d1ae22b28bd0b15fd35ecad439212921"
-    assert (sha1(train(synth_medium, NON_DEFAULT))
+    assert sha1(medium) == "521481b4d1ae22b28bd0b15fd35ecad439212921"
+    assert (sha1(medium_non_default)
             == "20b18c4c2f6c8d23335fd793536710ab3b4c4c06")
+
+
+def test_pinned_models_section_map(pinned_models):
+    """Each pinned model's section map names its sections in order, tiles
+    the file, and places each section's bytes (`check_section_map`)."""
+    for model in pinned_models:
+        check_section_map(model)

@@ -7,10 +7,11 @@ import struct
 
 import pytest
 
-from conftest import (F1_PATH, LEAF, chained_known_tree_model, config_offset,
+from conftest import (F1_PATH, LEAF, chained_known_tree_model, config_section,
                       count_lexical_entries, f1_model_with_known_nodes,
                       f1_model_with_lexicon, lexicon_columns, lexicon_section,
-                      preorder, readme_section, with_crc, with_tree_ints)
+                      preorder, readme_section, with_crc, with_section,
+                      with_tree_ints)
 from memtag.cli import build_parser, main
 from memtag.corpus import read_corpus, write_corpus
 from memtag.errors import ModelFormatError
@@ -163,13 +164,12 @@ def test_train_rejects_threshold_outside_unit_interval(threshold, tmp_path,
 def test_tag_model_threshold_out_of_range(model_path, tmp_path, capsys):
     model = TaggerModel.load(model_path)
     data = model.to_bytes()
-    at = config_offset(model)
-    assert struct.unpack_from("<d", data, at) == (model.config.threshold,)
     inp = tmp_path / "in.txt"
     inp.write_text("the cat .\n")
     bad = tmp_path / "bad.model"
     for value in (7.0, float("nan")):
-        patched = with_crc(data[:at] + struct.pack("<d", value) + data[at + 8:])
+        patched = with_section(data, "config", config_section(model),
+                               config_section(model, threshold=value))
         with pytest.raises(ModelFormatError, match="threshold must be in"):
             TaggerModel.from_bytes(patched)
         bad.write_bytes(patched)
@@ -184,7 +184,8 @@ def test_tag_tree_default_out_of_range(model_path, tmp_path, capsys):
     tree = model.unknown_tree
     ints = preorder(tree.root)
     bad = tmp_path / "bad.model"
-    bad.write_bytes(with_tree_ints(model, tree, [0xFFFFFFFF, *ints[1:]]))
+    bad.write_bytes(with_tree_ints(model, "unknown_tree",
+                                   [0xFFFFFFFF, *ints[1:]]))
     inp = tmp_path / "in.txt"
     inp.write_text("zzz\n")
     assert main(["tag", str(inp), "--model", str(bad)]) == 3

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from memtag import taggen
+from memtag import modelfile
 from memtag.corpus import Corpus, format_corpus, parse_corpus
 from memtag.errors import CorpusParseError, ParameterError
 from memtag.evaluation import compare_algorithms, cross_validate, evaluate
@@ -34,7 +34,7 @@ def paused_calls(synth_small):
         "synth_corpus": (synth_corpus,
                          lambda: synth_corpus(SynthConfig(n_tokens=3_000))),
         "train": (train, lambda: train(corpus)),
-        "_read_model": (taggen._read_model,
+        "_read_model": (modelfile._read_model,
                         lambda: TaggerModel.from_bytes(data)),
         "evaluate": (evaluate, lambda: evaluate(model, one_long)),
         "compare_algorithms": (compare_algorithms,

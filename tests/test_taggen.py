@@ -1,28 +1,35 @@
+import os
 import random
 import struct
+import subprocess
+import sys
 import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (LEAF, PV_LEXICON, PV_SENTENCE, chained_known_tree_model,
-                      column, config_offset, count_lexical_entries,
-                      count_lexicons, f1_model_with_known_nodes,
-                      f1_model_with_lexicon, fingerprint, interner_table,
+from conftest import (F1_PATH, LEAF, PV_LEXICON, PV_SENTENCE, SYNTH_SMALL,
+                      chained_known_tree_model, check_section_map, column,
+                      config_section, count_lexical_entries, count_lexicons,
+                      f1_model_with_known_nodes, f1_model_with_lexicon,
+                      fingerprint, header_section, interner_table,
                       lexicon_columns, lexicon_section, preorder,
                       readme_section, text_table, texts, tree_section,
-                      tree_start, with_crc)
-from memtag import taggen
+                      with_crc, with_section)
+from memtag import modelfile, taggen
 from memtag.corpus import Corpus, parse_corpus
 from memtag.errors import ModelFormatError, ParameterError, StructureError
 from memtag.evaluation import compare_algorithms, evaluate
 from memtag.igtree import IGTree, IGTreeNode, feature_order, stats
 from memtag.interning import BOUNDARY, UNKNOWN_MARK, Interner
+from memtag.modelfile import _read_texts, _texts
 from memtag.taggen import (UNKNOWN_SLOTS, Lexicon, TaggerConfig, TaggerModel,
-                           _lexicon_tag, _read_texts, _texts, build_lexicon,
+                           _lexicon_tag, build_lexicon,
                            extract_known_cases, extract_unknown_cases,
                            is_number, lexicon_from_tag_counts, train)
 from memtag.synth import SynthConfig, synth_corpus
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def rows_of(base):
@@ -594,24 +601,24 @@ def test_model_round_trip_preserves_config(f1):
 
 
 def test_model_bad_magic(f1):
-    data = bytearray(train(f1).to_bytes())
-    data[:4] = b"NOPE"
+    data = with_section(train(f1).to_bytes(), "header", header_section(),
+                        header_section(magic=b"NOPE"))
     with pytest.raises(ModelFormatError, match="bad magic"):
-        TaggerModel.from_bytes(bytes(data))
+        TaggerModel.from_bytes(data)
 
 
 def test_model_version_mismatch(f1):
-    data = bytearray(train(f1).to_bytes())
-    data[4:6] = (99).to_bytes(2, "little")
+    data = with_section(train(f1).to_bytes(), "header", header_section(),
+                        header_section(version=99))
     with pytest.raises(ModelFormatError, match="version 99 "):
-        TaggerModel.from_bytes(bytes(data))
+        TaggerModel.from_bytes(data)
 
 
 def test_readme_model_file_section_names_the_format_version():
     """README's model-file section describes the version the writer
     writes and the reader reads, and names every older one as refused."""
     section = readme_section("Model file")
-    version = taggen.FORMAT_VERSION
+    version = modelfile.FORMAT_VERSION
     for phrase in (f"Version {version} is a sequence of sections",
                    f"then a u16 version ({version})",
                    f"a version other than {version} (a version 1 to "
@@ -620,10 +627,30 @@ def test_readme_model_file_section_names_the_format_version():
 
 
 def test_model_truncated(f1):
+    """Every proper prefix, the header's included, is refused, and the
+    section map refuses it with the same error."""
     data = train(f1).to_bytes()
-    for n in range(len(data)):  # every proper prefix, the header's included
-        with pytest.raises(ModelFormatError):
+    for n in range(len(data)):
+        with pytest.raises(ModelFormatError) as read_error:
             TaggerModel.from_bytes(data[:n])
+        with pytest.raises(ModelFormatError) as map_error:
+            modelfile.sections(data[:n])
+        assert str(map_error.value) == str(read_error.value)
+
+
+def test_section_map_of_small_models(f1):
+    """The section map of a model with a closed-class list, of one without
+    a known tree, and of one without either tree (`check_section_map`)."""
+    numerals = parse_corpus("12/CD 3,400/CD\n5.5/CD 77/CD -2/CD")
+    models = (train(f1, TaggerConfig(closed_class_tags=frozenset({"DT", "."}),
+                                     route_numbers_to_unknown=False)),
+              train(numerals),
+              train(numerals, TaggerConfig(closed_class_tags=frozenset({"CD"}))))
+    assert models[0].known_tree and models[0].unknown_tree
+    assert models[1].known_tree is None and models[1].unknown_tree
+    assert models[2].known_tree is None and models[2].unknown_tree is None
+    for model in models:
+        check_section_map(model)
 
 
 def test_changed_content_fails_on_load(f1):
@@ -634,29 +661,25 @@ def test_changed_content_fails_on_load(f1):
     data = model.to_bytes()
     texts = list(model.interner)[2:]  # the file stores no marker
     table = interner_table(model)
-    assert data[6:6 + len(table)] == table
-    flag = config_offset(model) + 13  # the has-closed-classes flag
-    assert data[flag] == 0
-
-    def with_table(new):
-        return with_crc(data[:6] + text_table(new) + data[6 + len(table):])
+    config = config_section(model)
 
     closed_model = train(f1, TaggerConfig(
         closed_class_tags=frozenset({"DT", "."})))
-    closed = closed_model.to_bytes()
-    tags = config_offset(closed_model) + 14  # after the 14-byte config
-    sorted_tags = text_table([".", "DT"])
-    assert closed[tags:tags + len(sorted_tags)] == sorted_tags
+    closed_config = config_section(closed_model)
+    assert closed_config.endswith(text_table([".", "DT"]))
     arc = [0, *LEAF]
     for bad, message in (
-            (with_crc(data[:flag] + b"\x02" + data[flag + 1:]), "flag byte 2 "),
+            (with_section(data, "config", config,
+                          config_section(model, has_closed=2)),
+             "flag byte 2 "),
             (f1_model_with_known_nodes([0, 2, *arc, *arc]),
              "repeated tree arc value"),
-            (with_table([texts[0], *texts]), "repeats a text"),
-            (with_crc(data[:5 + len(table)] + b"x" + data[6 + len(table):]),
+            (with_section(data, "interner", table,
+                          text_table([texts[0], *texts])), "repeats a text"),
+            (with_section(data, "interner", table, table[:-1] + b"x"),
              "text list does not end with a newline"),
-            (with_crc(closed[:tags] + text_table(["DT", "."])
-                      + closed[tags + len(sorted_tags):]),
+            (with_section(closed_model.to_bytes(), "config", closed_config,
+                          config_section(closed_model, closed=["DT", "."])),
              "not sorted and distinct")):
         with pytest.raises(ModelFormatError, match=message):
             TaggerModel.from_bytes(bad)
@@ -761,32 +784,30 @@ def test_tree_without_cases_fails_on_load(f1):
     recomputed) is refused on load, for either tree."""
     model = train(f1)
     data = model.to_bytes()
-    for tree in (model.known_tree, model.unknown_tree):
-        start = tree_start(model, tree)
-        assert data[start:start + 4] == struct.pack("<I", tree.case_count)
-        patched = with_crc(data[:start] + bytes(4) + data[start + 4:])
+    for name in ("known_tree", "unknown_tree"):
+        tree = getattr(model, name)
+        patched = with_section(data, name, tree_section(tree),
+                               tree_section(tree, case_count=0))
         with pytest.raises(ModelFormatError, match="tree with no cases"):
             TaggerModel.from_bytes(patched)
 
 
 def test_tree_order_follows_gains(f1):
-    """The file stores gains but no feature order: right after the ten
-    gains come the known tree's presence byte and section. With the known
-    gains reversed (CRC recomputed), the loaded tree tests its features in
-    the reversed gains' order, and writes the file back."""
+    """The file stores gains but no feature order: the weights section
+    holds the ten gains, and the tree sections hold no order. With the
+    known gains reversed (CRC recomputed), the loaded tree tests its
+    features in the reversed gains' order, and writes the file back."""
     model = train(f1)
     data = model.to_bytes()
     gains = struct.pack("<4d6d", *model.known_weights, *model.unknown_weights)
-    known = b"\x01" + tree_section(model.known_tree)
-    start = data.index(gains + known)
     for loaded in (model, TaggerModel.from_bytes(data)):
         for tree, weights in ((loaded.known_tree, loaded.known_weights),
                               (loaded.unknown_tree, loaded.unknown_weights)):
             assert tree.feature_order == feature_order(weights)
     reversed_gains = model.known_weights[::-1]
     assert feature_order(reversed_gains) != model.known_tree.feature_order
-    patched = with_crc(data[:start] + struct.pack("<4d", *reversed_gains)
-                       + data[start + 32:])
+    patched = with_section(data, "weights", gains, struct.pack(
+        "<4d6d", *reversed_gains, *model.unknown_weights))
     loaded = TaggerModel.from_bytes(patched)
     assert loaded.known_weights == reversed_gains
     assert loaded.known_tree.feature_order == feature_order(reversed_gains)
@@ -948,6 +969,39 @@ ROUND_TRIP_CONFIGS = (TaggerConfig(),
                       TaggerConfig(threshold=0.02,
                                    closed_class_tags=frozenset({"DT", "IN"}),
                                    route_numbers_to_unknown=False))
+
+
+# Trains on f1 and the corpus of a SynthConfig repr under each TaggerConfig
+# repr, and prints each model file in hex, then the hash of a str.
+TRAIN_IN_PROCESS = """
+import sys
+from memtag import SynthConfig, TaggerConfig, read_corpus, synth_corpus, train
+f1_path, synth, *configs = sys.argv[1:]
+for corpus in (read_corpus(f1_path), synth_corpus(eval(synth))):
+    for config in configs:
+        print(train(corpus, eval(config)).to_bytes().hex())
+print(hash("memtag"))
+"""
+
+
+def test_model_bytes_are_the_same_in_every_process(f1, synth_small):
+    """Training depends on no str hash: processes under hash seeds 0 and 1
+    write the model files that this process writes, on f1 and a synthetic
+    corpus, under both round-trip configs."""
+    want = [train(corpus, config).to_bytes().hex()
+            for corpus in (f1, synth_small) for config in ROUND_TRIP_CONFIGS]
+    hashes = set()
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.path.join(ROOT, "src"))
+        done = subprocess.run(
+            [sys.executable, "-c", TRAIN_IN_PROCESS, F1_PATH,
+             repr(SYNTH_SMALL), *map(repr, ROUND_TRIP_CONFIGS)],
+            env=env, check=True, capture_output=True, text=True, timeout=300)
+        *models, str_hash = done.stdout.split()
+        assert models == want
+        hashes.add(str_hash)
+    assert len(hashes) == 2  # the seeds took effect
 
 
 def test_interner_holds_feature_values_only(f1, synth_small):
