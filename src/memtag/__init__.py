@@ -9,7 +9,7 @@ evaluation, cross-validation, learning curves and an algorithm comparison.
 """
 
 from .casebase import CaseBase, majority_class
-from .corpus import Corpus, Token, cv_folds, parse_corpus, read_corpus, split, write_corpus
+from .corpus import Corpus, Token, cv_folds, parse_corpus, read_corpus, write_corpus
 from .errors import (CorpusParseError, EmptyCorpusError, ModelFormatError,
                      ParameterError, StructureError)
 from .evaluation import (EvalReport, compare_algorithms, cross_validate,
@@ -17,8 +17,7 @@ from .evaluation import (EvalReport, compare_algorithms, cross_validate,
 from .ib import classify_ib1, classify_ib1ig, nearest_set
 from .igtree import IGTree, build, prune, stats
 from .interning import Interner
-from .metrics import (class_entropy, distance_overlap, distance_weighted,
-                      information_gains)
+from .metrics import class_entropy, information_gains
 from .synth import SynthConfig, synth_corpus
 from .taggen import (TaggerConfig, TaggerModel, build_lexicon,
                      extract_known_cases, extract_unknown_cases, train)

@@ -166,26 +166,6 @@ def write_corpus(corpus: Corpus, path: str) -> None:
     write_text(path, format_corpus(corpus))
 
 
-def split(corpus: Corpus, test_fraction: float, seed: int = 0) -> tuple[Corpus, Corpus]:
-    """Random sentence-level split into (train, test).
-
-    Splitting never cuts a sentence in half because tagging context crosses
-    token boundaries within a sentence. Deterministic for a fixed seed.
-    """
-    if not 0.0 < test_fraction < 1.0:
-        raise ParameterError(f"test_fraction must be in (0,1), got {test_fraction}")
-    n = len(corpus)
-    if n < 2:
-        raise ParameterError("need at least 2 sentences to split")
-    n_test = min(max(int(round(n * test_fraction)), 1), n - 1)
-    order = list(range(n))
-    random.Random(seed).shuffle(order)
-    test_idx = set(order[:n_test])
-    train = Corpus([corpus.sentences[i] for i in range(n) if i not in test_idx])
-    test = Corpus([corpus.sentences[i] for i in range(n) if i in test_idx])
-    return train, test
-
-
 def cv_folds(corpus: Corpus, k: int, seed: int = 0) -> list[tuple[Corpus, Corpus]]:
     """k cross-validation pairs; the k test folds partition the sentences."""
     n = len(corpus)

@@ -81,7 +81,6 @@ class EvalReport:
         return "\n".join(lines)
 
 
-@collector_paused
 def evaluate(model: TaggerModel, test: Corpus,
              gold_left_context: bool = False) -> EvalReport:
     """Tag `test` and score per token against the gold tags."""

@@ -1,4 +1,5 @@
-"""Class entropy, per-feature information gain, and the overlap distances.
+"""Class entropy and per-feature information gain, the weights of the
+overlap distance that `ib.nearest_set` computes.
 
 Gains are computed Quinlan-style with log base 2 on raw frequencies: no
 gain-ratio correction, no smoothing. The log base only scales all weights
@@ -11,7 +12,7 @@ from __future__ import annotations
 from math import log2
 from typing import Sequence
 
-from .casebase import CaseBase, Vector
+from .casebase import CaseBase
 from .errors import StructureError
 
 FeatureWeights = tuple[float, ...]
@@ -57,21 +58,3 @@ def information_gains(base: CaseBase) -> FeatureWeights:
         gains.append(h_class - remainder)
     return tuple(gains)
 
-
-def distance_overlap(x: Vector, y: Vector) -> int:
-    """Number of positions where the two vectors disagree (Hamming)."""
-    if len(x) != len(y):
-        raise StructureError(f"arity mismatch: {len(x)} vs {len(y)}")
-    return sum(a != b for a, b in zip(x, y))
-
-
-def distance_weighted(x: Vector, y: Vector, weights: FeatureWeights) -> float:
-    """Sum of the gains of the disagreeing positions."""
-    if len(x) != len(y) or len(x) != len(weights):
-        raise StructureError(
-            f"arity mismatch: {len(x)} vs {len(y)} with {len(weights)} weights")
-    d = 0.0
-    for a, b, w in zip(x, y, weights):
-        if a != b:
-            d += w
-    return d

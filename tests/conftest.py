@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, settings
 
 from memtag.casebase import CaseBase, majority_class
 from memtag.corpus import read_corpus
+from memtag.ib import nearest_set
 from memtag.igtree import stats
 from memtag.interning import Interner
 from memtag.modelfile import sections
@@ -261,6 +262,29 @@ def chained_known_tree_model(depth):
     one-arc nodes (default and arc value both symbol 0) ending in a leaf,
     the CRC recomputed."""
     return f1_model_with_known_nodes([0, 1, 0] * depth + LEAF)
+
+
+def distance_overlap(x, y):
+    """Reference overlap distance: the count of positions where x and y
+    disagree."""
+    return sum(a != b for a, b in zip(x, y, strict=True))
+
+
+def distance_weighted(x, y, weights):
+    """Reference weighted overlap distance: the weights of the positions
+    where x and y disagree, summed in feature order from 0.0."""
+    d = 0.0
+    for a, b, w in zip(x, y, weights, strict=True):
+        if a != b:
+            d += w
+    return d
+
+
+def one_pattern_distance(x, y, weights=None):
+    """The distance that `ib.nearest_set` computes from query y to x, the
+    only pattern of a case base; unit weights when `weights` is None."""
+    base = CaseBase(len(x), Interner(), [(x, 0)])
+    return nearest_set(base, y, weights).distance
 
 
 def random_case_base(seed):

@@ -10,15 +10,15 @@ import time
 import pytest
 
 from conftest import (PV_LEXICON, PV_SENTENCE, check_section_map,
-                      random_case_base, texts)
+                      distance_overlap, distance_weighted,
+                      one_pattern_distance, random_case_base, texts)
 from memtag.casebase import CaseBase
 from memtag.corpus import cv_folds, parse_corpus
 from memtag.evaluation import compare_algorithms, evaluate, learning_curve
 from memtag.ib import classify_ib1ig
 from memtag.igtree import build, prune, stats
 from memtag.interning import Interner
-from memtag.metrics import (class_entropy, distance_overlap,
-                            distance_weighted, information_gains)
+from memtag.metrics import class_entropy, information_gains
 from memtag.taggen import (TaggerConfig, TaggerModel, build_lexicon,
                            extract_known_cases, extract_unknown_cases,
                            lexicon_from_tag_counts, train)
@@ -73,11 +73,18 @@ def test_criterion_1_oracle_equivalence():
 def test_criterion_2_metric_identities():
     def check():
         rng = random.Random(0)
+        # The weights come from their own generator, so that `rng` alone
+        # draws the pairs and the case bases below.
+        weights_rng = random.Random(1)
         for _ in range(100_000):
             arity = rng.randint(1, 6)
             x = tuple(rng.randrange(8) for _ in range(arity))
             y = tuple(rng.randrange(8) for _ in range(arity))
-            assert distance_weighted(x, y, (1.0,) * arity) == distance_overlap(x, y)
+            unit = (1.0,) * arity
+            assert one_pattern_distance(x, y, unit) == distance_overlap(x, y)
+            weights = tuple(weights_rng.random() for _ in range(arity))
+            assert (one_pattern_distance(x, y, weights)
+                    == distance_weighted(x, y, weights))
         for ds in range(100):
             interner = Interner()
             classes = [interner.intern(f"C{i}")

@@ -38,9 +38,11 @@ def test_add_ambiguous_pattern(interner):
 
 
 def test_add_arity_mismatch(interner):
-    with pytest.raises(StructureError):
+    with pytest.raises(StructureError, match="case arity 3 != base arity 2"):
         CaseBase(2, interner, [(sym(interner, "a", "b", "c"),
                                 interner.id_of("X"))])
+    with pytest.raises(StructureError, match="arity must be >= 1, got 0"):
+        CaseBase(0, interner)
 
 
 def test_f1_focus_the_always_dt(f1):

@@ -332,6 +332,11 @@ def test_curve_requires_sizes(tmp_path, capsys):
     assert capsys.readouterr().err == "error: --sizes lists no size: ','\n"
 
 
+def test_curve_bad_sizes(capsys):
+    assert main(["curve", F1_PATH, "--sizes", "10,x"]) == 2
+    assert capsys.readouterr().err == "error: bad --sizes value: '10,x'\n"
+
+
 def test_usage_error_exit_code():
     for argv in (["definitely-not-a-command"],
                  ["curve", F1_PATH, "--sizes", "10", "--jobs", "2"]):

@@ -10,14 +10,14 @@ import pytest
 from memtag import modelfile
 from memtag.corpus import Corpus, format_corpus, parse_corpus
 from memtag.errors import CorpusParseError, ParameterError
-from memtag.evaluation import compare_algorithms, cross_validate, evaluate
+from memtag.evaluation import compare_algorithms, cross_validate
 from memtag.synth import SynthConfig, synth_corpus
 from memtag.taggen import TaggerModel, train
 
 
 @pytest.fixture(scope="module")
 def paused_calls(synth_small):
-    """(paused function, thunk that calls it) for each of the six bulk
+    """(paused function, thunk that calls it) for each of the five bulk
     calls, on inputs built from a small corpus before any call runs."""
     corpus = synth_small
     model = train(corpus)
@@ -25,10 +25,6 @@ def paused_calls(synth_small):
     text = format_corpus(corpus)
     train_c = Corpus(corpus.sentences[:300])
     test_c = Corpus(corpus.sentences[300:360])
-    # evaluate frees each sentence's records before the next, so only a
-    # long sentence keeps enough objects alive to start a collection.
-    one_long = Corpus([[tok for sent in corpus.sentences[:100]
-                        for tok in sent]])
     return {
         "parse_corpus": (parse_corpus, lambda: parse_corpus(text)),
         "synth_corpus": (synth_corpus,
@@ -36,13 +32,12 @@ def paused_calls(synth_small):
         "train": (train, lambda: train(corpus)),
         "_read_model": (modelfile._read_model,
                         lambda: TaggerModel.from_bytes(data)),
-        "evaluate": (evaluate, lambda: evaluate(model, one_long)),
         "compare_algorithms": (compare_algorithms,
                                lambda: compare_algorithms(train_c, test_c)),
     }
 
 
-PAUSED = ("parse_corpus", "synth_corpus", "train", "_read_model", "evaluate",
+PAUSED = ("parse_corpus", "synth_corpus", "train", "_read_model",
           "compare_algorithms")
 
 
@@ -112,7 +107,8 @@ def test_raising_call_restores_the_collector(was_on, collector):
 
 def test_nested_paused_calls_end_with_the_collector_on(synth_small,
                                                        collector):
-    """cross_validate runs train and evaluate, each paused, once per fold."""
+    """cross_validate runs train, paused, and evaluate, unpaused, once per
+    fold."""
     gc.enable()
     result = cross_validate(Corpus(synth_small.sentences[:120]), k=3)
     assert len(result.reports) == 3

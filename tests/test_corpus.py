@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from memtag.corpus import (Corpus, Token, cv_folds, format_corpus,
-                           parse_corpus, read_corpus, split)
+                           parse_corpus, read_corpus)
 from memtag.errors import CorpusParseError, EmptyCorpusError, ParameterError
 
 
@@ -142,30 +142,6 @@ def test_round_trip(corpus):
 
 def _ten_sentences():
     return parse_corpus("\n".join(f"w{i}/T{i} x/U" for i in range(10)))
-
-
-def test_split_sizes_and_determinism():
-    c = _ten_sentences()
-    train, test = split(c, 0.1, seed=4)
-    assert len(train) == 9 and len(test) == 1
-    train2, test2 = split(c, 0.1, seed=4)
-    assert train == train2 and test == test2
-
-
-def test_split_partitions_sentences():
-    c = _ten_sentences()
-    train, test = split(c, 0.3, seed=1)
-    merged = sorted(map(tuple, train.sentences + test.sentences))
-    assert merged == sorted(map(tuple, c.sentences))
-
-
-def test_split_bad_fraction():
-    c = _ten_sentences()
-    for frac in (0.0, 1.0, -0.2, 1.5):
-        with pytest.raises(ParameterError):
-            split(c, frac)
-    with pytest.raises(ParameterError):
-        split(parse_corpus("a/A"), 0.5)
 
 
 def test_cv_folds_partition():

@@ -3,12 +3,12 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_case_base
+from conftest import distance_overlap, random_case_base
 from memtag.casebase import CaseBase, majority_class
 from memtag.errors import StructureError
 from memtag.ib import OverlapIndex, classify_ib1, classify_ib1ig, nearest_set
 from memtag.interning import Interner
-from memtag.metrics import distance_overlap, information_gains
+from memtag.metrics import information_gains
 from memtag.taggen import build_lexicon, extract_known_cases
 
 

@@ -108,8 +108,11 @@ def test_single_pattern_is_single_node():
 
 
 def test_empty_base_build_error():
-    with pytest.raises(StructureError):
+    with pytest.raises(StructureError, match="from an empty case base"):
         build(CaseBase(2, Interner()), (1.0, 1.0))
+    base = make_base([(("a", "b"), "X")], 2)
+    with pytest.raises(StructureError, match="3 weights for base arity 2"):
+        build(base, (1.0, 1.0, 1.0))
 
 
 def test_prune_removes_agreeing_leaves():

@@ -4,11 +4,11 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import distance_overlap, distance_weighted, one_pattern_distance
 from memtag.casebase import CaseBase
 from memtag.errors import StructureError
 from memtag.interning import Interner
-from memtag.metrics import (class_entropy, distance_overlap,
-                            distance_weighted, information_gains)
+from memtag.metrics import class_entropy, information_gains
 from memtag.taggen import build_lexicon, extract_known_cases
 
 
@@ -49,8 +49,10 @@ def test_entropy_f1(f1):
 
 def test_entropy_empty_base():
     interner = Interner()
-    with pytest.raises(StructureError):
+    with pytest.raises(StructureError, match="entropy of an empty case base"):
         class_entropy(CaseBase(1, interner))
+    with pytest.raises(StructureError, match="gains of an empty case base"):
+        information_gains(CaseBase(1, interner))
 
 
 def test_gain_constant_feature():
@@ -75,10 +77,10 @@ def test_gain_focus_dominates_on_f1(f1):
 
 
 def test_distance_overlap_examples():
-    assert distance_overlap((1, 2, 3), (1, 2, 3)) == 0
-    assert distance_overlap((1, 2, 3, 4), (5, 6, 7, 8)) == 4
-    with pytest.raises(StructureError):
-        distance_overlap((1, 2), (1, 2, 3))
+    assert one_pattern_distance((1, 2, 3), (1, 2, 3)) == 0
+    assert one_pattern_distance((1, 2, 3, 4), (5, 6, 7, 8)) == 4
+    with pytest.raises(StructureError, match="query arity 3 != base arity 2"):
+        one_pattern_distance((1, 2), (1, 2, 3))
 
 
 def test_distance_overlap_table_rows():
@@ -87,17 +89,17 @@ def test_distance_overlap_table_rows():
     interner = Interner(["np", ",", "cd", "nns"])
     x = tuple(interner.id_of(t) for t in ("np", "np", ",", "cd"))
     y = tuple(interner.id_of(t) for t in ("np", ",", "cd", "nns"))
-    assert distance_overlap(x, y) == 3
-    assert distance_overlap(y, x) == 3
+    assert one_pattern_distance(x, y) == 3
+    assert one_pattern_distance(y, x) == 3
 
 
 def test_distance_weighted_examples():
     w = (0.5, 0.25, 2.0)
-    assert distance_weighted((1, 2, 3), (1, 2, 3), w) == 0.0
-    assert distance_weighted((9, 2, 3), (1, 2, 3), w) == 0.5
-    assert distance_weighted((9, 2, 7), (1, 2, 3), w) == 2.5
-    with pytest.raises(StructureError):
-        distance_weighted((1, 2), (1, 2), (1.0,))
+    assert one_pattern_distance((1, 2, 3), (1, 2, 3), w) == 0.0
+    assert one_pattern_distance((9, 2, 3), (1, 2, 3), w) == 0.5
+    assert one_pattern_distance((9, 2, 7), (1, 2, 3), w) == 2.5
+    with pytest.raises(StructureError, match="1 weights for base arity 2"):
+        one_pattern_distance((1, 2), (1, 2), (1.0,))
 
 
 def test_distance_weighted_f1_gains(f1):
@@ -106,11 +108,9 @@ def test_distance_weighted_f1_gains(f1):
     vecs = list(base.patterns)
     x = vecs[0]
     y = (x[0] + 1000, x[1], x[2] + 1000, x[3])  # differ at features 0 and 2
-    assert distance_weighted(x, y, gains) == pytest.approx(
+    assert one_pattern_distance(x, y, gains) == pytest.approx(
         gains[0] + gains[2], rel=1e-12)
-
-
-vectors = st.lists(st.integers(0, 5), min_size=1, max_size=6)
+    assert one_pattern_distance(x, y, gains) == distance_weighted(x, y, gains)
 
 
 @given(st.integers(1, 6), st.data())
@@ -119,7 +119,9 @@ def test_unit_weights_reduce_to_overlap(arity, data):
                                  max_size=arity)))
     y = tuple(data.draw(st.lists(st.integers(0, 4), min_size=arity,
                                  max_size=arity)))
-    assert distance_weighted(x, y, (1.0,) * arity) == distance_overlap(x, y)
+    overlap = distance_overlap(x, y)
+    assert one_pattern_distance(x, y, (1.0,) * arity) == overlap
+    assert one_pattern_distance(x, y) == overlap
 
 
 @given(st.integers(1, 5), st.data())
@@ -128,7 +130,8 @@ def test_overlap_triangle_inequality(arity, data):
     x = tuple(data.draw(draw_vec))
     y = tuple(data.draw(draw_vec))
     z = tuple(data.draw(draw_vec))
-    assert distance_overlap(x, z) <= distance_overlap(x, y) + distance_overlap(y, z)
+    d = one_pattern_distance
+    assert d(x, z) <= d(x, y) + d(y, z)
 
 
 rows_strategy = st.lists(

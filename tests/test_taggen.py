@@ -342,6 +342,21 @@ def test_train_single_sentence_degenerate():
     assert model.tag(["unseen"]) == ["UH"]
 
 
+def test_known_route_without_a_tree_answers_the_fallback(f1):
+    """A word the lexicon routes known gets the fallback tag when the model
+    has no known tree, before and after a round trip through the file."""
+    m = train(f1)
+    assert m.tag(["dog"]) == ["NN"]
+    assert m.interner.text(m.fallback_tag) == "DT"
+    treeless = TaggerModel(m.interner, m.lexicon, m.config, m.known_weights,
+                           m.unknown_weights, None, m.unknown_tree,
+                           m.fallback_tag)
+    for model in (treeless, TaggerModel.from_bytes(treeless.to_bytes())):
+        assert model.known_tree is None
+        assert model.tag_records(["dog"])[0].route == "known"
+        assert model.tag(["dog"]) == ["DT"]
+
+
 def test_summary_reports_empty_trees():
     """A route without training cases has no tree, and summary() says so:
     all-numeral text has no known case, closed-class text no unknown one."""
