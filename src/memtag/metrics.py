@@ -57,4 +57,3 @@ def information_gains(base: CaseBase) -> FeatureWeights:
             remainder += (n_value / total) * _entropy(counts, n_value)
         gains.append(h_class - remainder)
     return tuple(gains)
-
