@@ -22,13 +22,16 @@ from .errors import CorpusParseError, EmptyCorpusError, ParameterError
 def collector_paused(func: Callable) -> Callable:
     """Run each call of `func` with the cyclic garbage collector off.
 
-    `Token` is a tuple subclass, and CPython untracks only exact tuples, so
-    every `Token` stays tracked by the collector for life: one per distinct
-    token text of a parsed corpus, one per token of a synthetic one. A bulk
-    build from a corpus or a file allocates enough objects to start many
-    collections, and each full one walks every `Token` alive while freeing
-    nothing: memtag's bulk builds make no reference cycles. On return or on
-    an exception the collector is turned back on only if it was on when the
+    A bulk build allocates enough objects to start many collections, and
+    each full one walks every tracked object alive while freeing nothing:
+    memtag's bulk builds make no reference cycles. Per paused call, a full
+    collection would walk the `Token`s built by `parse_corpus` and
+    `synth_corpus` (a tuple subclass, which CPython tracks for life); the
+    corpus's `Token`s and the lexicon, case bases and trie nodes of
+    `taggen.train`; the trie nodes and arc dicts of `modelfile._read_model`;
+    the lexicon, case base and index buckets of `compare_algorithms`.
+    README's "How it works" cites the measured cost. On return or on an
+    exception the collector is turned back on only if it was on when the
     call began, so nested calls and callers that turned it off keep their
     state. The pause is process-wide: another thread's collections wait
     until the call ends.

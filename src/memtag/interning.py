@@ -9,14 +9,16 @@ a lexicon tag or a letter each is an ordinary value with an id of its own.
 
 from __future__ import annotations
 
+import sys
 from typing import Iterable, Sequence
 
 BOUNDARY = "="
 UNKNOWN_MARK = "UNK-A"
 
 # Sentinel id for text the interner has never seen. Never stored in any
-# structure, so it can never match an arc or a pattern slot.
-NO_SYMBOL = -1
+# structure, so it can never match an arc or a pattern slot. It lies above
+# every id, so `Interner.text` raises IndexError for it.
+NO_SYMBOL = sys.maxsize
 
 
 class Interner:

@@ -168,8 +168,7 @@ def _read_texts(buf: bytes, off: int) -> tuple[list[str], int]:
 def _read_lexicon(buf: bytes, off: int, interner: Interner,
                   threshold: float) -> tuple[taggen.Lexicon, int]:
     """The lexicon's words and three columns, checked in full; each lexicon
-    tag is recomputed as `lexicon_from_tag_counts` computes it, interning
-    nothing."""
+    tag is recomputed as `build_lexicon` computes it, interning nothing."""
     words, off = _read_texts(buf, off)
     n_tags, off = _read_column(buf, off, len(words))
     tag_ids, off = _read_column(buf, off, sum(n_tags))

@@ -194,31 +194,18 @@ def build_lexicon(corpus: Corpus, interner: Interner,
     _check_threshold(threshold)
     if not any(corpus.sentences):
         raise ParameterError("cannot build a lexicon from an empty corpus")
-    # Counter keys keep first-occurrence order
-    by_word: dict[str, dict[str, int]] = {}
+    # Counter keys keep first-occurrence order, so each tag is interned at
+    # its first occurrence and each word keeps its tags in that order.
+    intern = interner.intern
+    by_word: dict[str, dict[int, int]] = {}
     for (word, tag), n in Counter(chain.from_iterable(corpus.sentences)).items():
-        interner.intern(tag)
-        by_word.setdefault(word, {})[tag] = n
-    return lexicon_from_tag_counts(by_word, interner, threshold)
-
-
-def lexicon_from_tag_counts(
-        word_tag_counts: dict[str, dict[str, int]], interner: Interner,
-        threshold: float = 0.10) -> Lexicon:
-    """Build a lexicon from explicit per-word tag counts (for a corpus,
-    hand-built fixtures and external lexical resources)."""
-    _check_threshold(threshold)
-    n_tags: list[int] = []
-    tag_ids: list[int] = []
-    counts: list[int] = []
-    for word, by_tag in word_tag_counts.items():
-        if not by_tag or min(by_tag.values()) < 1:
-            raise ParameterError(f"word {word!r} needs tag counts, each >= 1")
-        n_tags.append(len(by_tag))
-        tag_ids += map(interner.intern, by_tag)
-        counts += by_tag.values()
-    return _lexicon_from_columns(list(word_tag_counts), n_tags, tag_ids,
-                                 counts, interner, interner.intern, threshold)
+        by_word.setdefault(word, {})[intern(tag)] = n
+    per_word = by_word.values()
+    n_tags = list(map(len, per_word))
+    tag_ids = list(chain.from_iterable(per_word))
+    counts = list(chain.from_iterable(map(dict.values, per_word)))
+    return _lexicon_from_columns(list(by_word), n_tags, tag_ids, counts,
+                                 interner, intern, threshold)
 
 
 def _check_missing(word: str, config: TaggerConfig) -> None:

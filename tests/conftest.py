@@ -7,13 +7,13 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from memtag.casebase import CaseBase, majority_class
-from memtag.corpus import read_corpus
+from memtag.corpus import Corpus, Token, read_corpus
 from memtag.ib import nearest_set
 from memtag.igtree import stats
 from memtag.interning import Interner
 from memtag.modelfile import sections
 from memtag.synth import SynthConfig, synth_corpus
-from memtag.taggen import LexicalEntry, Lexicon, train
+from memtag.taggen import LexicalEntry, Lexicon, build_lexicon, train
 
 settings.register_profile(
     "suite", deadline=None,
@@ -36,6 +36,15 @@ PV_LEXICON = {
     "a": {"dt": 1}, "nonexecutive": {"jj": 1}, "director": {"nn": 1},
     "nov.": {"np": 1}, "29": {"cd": 1}, ".": {".": 1},
 }
+
+
+def lexicon_of_counts(word_tag_counts, interner):
+    """The lexicon of hand counts `{word: {tag: n}}`: `build_lexicon` of a
+    corpus that holds each (word, tag) pair n times, one token per
+    sentence, in the order given, so tags get ids in that order."""
+    return build_lexicon(Corpus([
+        [Token(word, tag)] for word, by_tag in word_tag_counts.items()
+        for tag, n in by_tag.items() for _ in range(n)]), interner)
 
 
 def readme_section(heading):

@@ -10,7 +10,7 @@ import time
 import pytest
 
 from conftest import (PV_LEXICON, PV_SENTENCE, check_section_map,
-                      distance_overlap, distance_weighted,
+                      distance_overlap, distance_weighted, lexicon_of_counts,
                       one_pattern_distance, random_case_base, texts)
 from memtag.casebase import CaseBase
 from memtag.corpus import cv_folds, parse_corpus
@@ -20,8 +20,7 @@ from memtag.igtree import build, prune, stats
 from memtag.interning import Interner
 from memtag.metrics import class_entropy, information_gains
 from memtag.taggen import (TaggerConfig, TaggerModel, build_lexicon,
-                           extract_known_cases, extract_unknown_cases,
-                           lexicon_from_tag_counts, train)
+                           extract_known_cases, extract_unknown_cases, train)
 
 
 def _report(num, name, fn):
@@ -113,7 +112,7 @@ def test_criterion_3_table_transcription():
     def check():
         corpus = parse_corpus(PV_SENTENCE)
         interner = Interner()
-        lexicon = lexicon_from_tag_counts(PV_LEXICON, interner)
+        lexicon = lexicon_of_counts(PV_LEXICON, interner)
 
         keep_numbers = TaggerConfig(route_numbers_to_unknown=False)
         known = extract_known_cases(corpus, lexicon, interner, keep_numbers)

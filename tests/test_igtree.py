@@ -9,8 +9,8 @@ from memtag.ib import classify_ib1ig
 from memtag.igtree import build, feature_order, prune, stats
 from memtag.interning import Interner
 from memtag.metrics import information_gains
-from memtag.taggen import (TaggerConfig, TaggerModel, build_lexicon,
-                           extract_known_cases, lexicon_from_tag_counts, train)
+from memtag.taggen import (Lexicon, TaggerConfig, TaggerModel, build_lexicon,
+                           extract_known_cases, train)
 
 
 def make_base(rows, arity):
@@ -243,7 +243,7 @@ def test_tree_bytes_round_trip():
         base = random_base(seed, arity=arity, interner=interner)
         gains.append(information_gains(base))
         trees.append(prune(build(base, gains[-1])))
-    model = TaggerModel(interner, lexicon_from_tag_counts({}, interner),
+    model = TaggerModel(interner, Lexicon({}, [], [], [], {}),
                         TaggerConfig(), *gains, *trees, 0)
     data = model.to_bytes()
     loaded = TaggerModel.from_bytes(data)

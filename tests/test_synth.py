@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import pytest
 
@@ -30,3 +31,16 @@ def test_no_tokens_refused(n_tokens):
     with pytest.raises(ParameterError,
                        match=f"n_tokens must be >= 1, got {n_tokens}"):
         synth_corpus(SynthConfig(n_tokens=n_tokens))
+
+
+@pytest.mark.parametrize("exponent", [float("nan"), float("inf"),
+                                      float("-inf"), 400.0, -400.0])
+def test_zipf_exponent_without_finite_positive_weights_refused(exponent):
+    """In process, as `scripts/make_corpus.py --zipf` is tested in a
+    subprocess: NaN and +inf give weights that are NaN or zero; 400 makes
+    the power overflow, and -400 and -inf make it underflow to zero, which
+    the division refuses."""
+    with pytest.raises(ParameterError, match=re.escape(
+            f"zipf_exponent {exponent!r} gives type weights that are not "
+            f"finite and positive")):
+        synth_corpus(SynthConfig(n_tokens=100, zipf_exponent=exponent))

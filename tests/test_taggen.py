@@ -1,5 +1,6 @@
 import os
 import random
+import shutil
 import struct
 import subprocess
 import sys
@@ -13,20 +14,20 @@ from conftest import (F1_PATH, LEAF, PV_LEXICON, PV_SENTENCE, SYNTH_SMALL,
                       config_section, count_lexical_entries, count_lexicons,
                       f1_model_with_known_nodes, f1_model_with_lexicon,
                       fingerprint, header_section, interner_table,
-                      lexicon_columns, lexicon_section, preorder,
-                      readme_section, text_table, texts, tree_section,
+                      lexicon_columns, lexicon_of_counts, lexicon_section,
+                      preorder, readme_section, text_table, texts, tree_section,
                       with_crc, with_section)
 from memtag import modelfile, taggen
 from memtag.corpus import Corpus, parse_corpus
 from memtag.errors import ModelFormatError, ParameterError, StructureError
 from memtag.evaluation import compare_algorithms, evaluate
 from memtag.igtree import IGTree, IGTreeNode, feature_order, stats
-from memtag.interning import BOUNDARY, UNKNOWN_MARK, Interner
+from memtag.interning import BOUNDARY, NO_SYMBOL, UNKNOWN_MARK, Interner
 from memtag.modelfile import _read_texts, _texts
 from memtag.taggen import (UNKNOWN_SLOTS, Lexicon, TaggerConfig, TaggerModel,
                            _lexicon_tag, build_lexicon,
                            extract_known_cases, extract_unknown_cases,
-                           is_number, lexicon_from_tag_counts, train)
+                           is_number, train)
 from memtag.synth import SynthConfig, synth_corpus
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -78,22 +79,19 @@ def test_lexicon_f1_saw_tie(f1):
 
 
 def test_threshold_must_lie_in_unit_interval(f1):
-    """TaggerConfig and the lexicon builders share one check, which the
-    builders make before they intern anything. On f1, 7 and NaN would
-    keep only the top tag of "saw", and -1 every tag."""
+    """TaggerConfig and build_lexicon share one check, which build_lexicon
+    makes before it interns anything. On f1, 7 and NaN would keep only
+    the top tag of "saw", and -1 every tag."""
     for threshold in (0.0, 0.10, 1.0):
         assert TaggerConfig(threshold=threshold).threshold == threshold
-    counts = {"saw": {"NN": 2, "VBD": 2}}
     for threshold in (-0.01, -1.0, 1.5, 7.0, float("nan"), float("inf")):
         with pytest.raises(ParameterError, match=r"threshold must be in \[0, 1\]"):
             TaggerConfig(threshold=threshold)
-        for build, source in ((build_lexicon, f1),
-                              (lexicon_from_tag_counts, counts)):
-            interner = Interner()
-            with pytest.raises(ParameterError,
-                               match=r"threshold must be in \[0, 1\]"):
-                build(source, interner, threshold)
-            assert list(interner) == [BOUNDARY, UNKNOWN_MARK]
+        interner = Interner()
+        with pytest.raises(ParameterError,
+                           match=r"threshold must be in \[0, 1\]"):
+            build_lexicon(f1, interner, threshold)
+        assert list(interner) == [BOUNDARY, UNKNOWN_MARK]
 
 
 def test_lexicon_keeps_most_frequent_even_below_threshold():
@@ -141,7 +139,7 @@ def test_build_lexicon_matches_per_token_order(f1, synth_small, threshold):
 def pv():
     corpus = parse_corpus(PV_SENTENCE)
     interner = Interner()
-    lexicon = lexicon_from_tag_counts(PV_LEXICON, interner)
+    lexicon = lexicon_of_counts(PV_LEXICON, interner)
     return corpus, lexicon, interner
 
 
@@ -203,20 +201,9 @@ def test_f1_unknown_case_for_cuts(f1):
 def test_short_word_letter_padding(pv):
     corpus, lexicon, interner = pv
     single = parse_corpus("a/nn")
-    lex = lexicon_from_tag_counts({"a": {"nn": 1}}, interner)
+    lex = lexicon_of_counts({"a": {"nn": 1}}, interner)
     rows = rows_of(extract_unknown_cases(single, lex, interner))
     assert rows[0][0] == ("a", "=", "=", "=", "=", "a")
-
-
-def test_lexicon_word_without_positive_tag_counts_rejected():
-    """A word with no tag counts, or with a count below 1 (which a model
-    file could not hold), is named wherever it stands."""
-    for bad in ({}, {"nn": 0}, {"nn": 0, "vb": 0}, {"nn": -1, "vb": 3}):
-        for counts in ({"w": bad}, {"w": bad, "a": {"nn": 1}},
-                       {"a": {"nn": 1}, "w": bad}):
-            with pytest.raises(ParameterError,
-                               match=r"word 'w' needs tag counts, each >= 1"):
-                lexicon_from_tag_counts(counts, Interner())
 
 
 def test_marker_texts_are_ordinary_tags():
@@ -282,7 +269,7 @@ def test_lexicon_routing_cache_is_not_a_parameter():
 
 def test_extraction_requires_lexicon_coverage(f1):
     interner = Interner()
-    partial = lexicon_from_tag_counts({"the": {"DT": 1}}, interner)
+    partial = lexicon_of_counts({"the": {"DT": 1}}, interner)
     for extract in (extract_known_cases, extract_unknown_cases):
         with pytest.raises(StructureError, match="'cat' not in lexicon"):
             extract(f1, partial, interner)
@@ -296,7 +283,7 @@ def test_extraction_needs_only_the_known_route_words(synth_small):
     interner = Interner()
     full = build_lexicon(synth_small, interner)
     text = interner.text
-    known_route = lexicon_from_tag_counts(
+    known_route = lexicon_of_counts(
         {word: {text(t): n for t, n in entry.tag_counts.items()}
          for word, entry in full.entries.items() if not is_number(word)},
         interner)
@@ -574,6 +561,22 @@ def test_explain_saw_focus_then_context(f1):
     assert exp.steps[1].value == "DT" and exp.steps[1].matched
 
 
+def test_unseen_symbol_has_no_text():
+    """An unseen text's id is NO_SYMBOL, which names no symbol: its text
+    is an error, not the last symbol's, while `explain` shows it as "?"."""
+    model = train(parse_corpus("1/A 2/B\n3/C 2/B\n"))
+    interner = model.interner
+    assert list(interner)[-1] == "3"
+    assert interner.id_of("zz") == NO_SYMBOL
+    with pytest.raises(IndexError):
+        interner.text(NO_SYMBOL)
+    exp = model.explain(["zz", "1"], 0)
+    assert exp.route == "unknown"
+    assert [(s.slot, s.value, s.matched) for s in exp.steps] == [
+        ("p", "?", False)]
+    assert model.tag(["zz", "1"]) == [exp.prediction, "A"]
+
+
 def test_explain_position_out_of_range(f1):
     model = train(f1)
     with pytest.raises(ParameterError):
@@ -639,6 +642,26 @@ def test_readme_model_file_section_names_the_format_version():
                    f"a version other than {version} (a version 1 to "
                    f"{version - 1} file is named"):
         assert " ".join(phrase.split()) in " ".join(section.split()), phrase
+
+
+def test_readme_library_block_runs(tmp_path, monkeypatch, capsys):
+    """README's Library block runs as printed, on f1 as `train.tagged`: it
+    prints the tags, the trie path behind "saw", and every model-file
+    section with its size, the sizes adding up to the file's."""
+    block = readme_section("Library").split("```python\n", 1)[1]
+    shutil.copy(F1_PATH, tmp_path / "train.tagged")
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block.split("```", 1)[0], "README.md", "exec"), {})
+    tags, explanation, *rows = capsys.readouterr().out.splitlines()
+    assert tags == "['DT', 'NN', 'NN', 'VBZ', '.']"
+    model = TaggerModel.load("tagger.mbt")
+    assert explanation == str(
+        model.explain(["the", "old", "saw", "cuts", "."], 2))
+    assert explanation.startswith("Explanation(word='saw', route='known', "
+                                  "prediction='NN', ")
+    names, sizes = zip(*(row.split() for row in rows))
+    assert names == modelfile.SECTIONS
+    assert sum(map(int, sizes)) == os.path.getsize("tagger.mbt")
 
 
 def test_model_truncated(f1):
@@ -870,7 +893,7 @@ def test_write_refuses_a_newline_in_the_interner_or_a_word(f1):
     interner text or a lexicon word (a closed-class tag: below)."""
     m = train(f1)
     interner = Interner([*list(m.interner)[2:], "x\ny"])
-    lexicon = lexicon_from_tag_counts(
+    lexicon = lexicon_of_counts(
         {"a\nb": {"NN": 1}}, Interner(list(m.interner)[2:]))
     for interner, lexicon in ((interner, m.lexicon), (m.interner, lexicon)):
         bad = TaggerModel(interner, lexicon, m.config, m.known_weights,
