@@ -98,7 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     tagger = argparse.ArgumentParser(add_help=False)
-    tagger.add_argument("--threshold", type=float, default=0.10)
+    tagger.add_argument("--threshold", type=float,
+                        default=TaggerConfig.threshold)
     tagger.add_argument("--closed-class", metavar="FILE")
 
     p = sub.add_parser("train", parents=[tagger],

@@ -25,11 +25,11 @@ def collector_paused(func: Callable) -> Callable:
     A bulk build allocates enough objects to start many collections, and
     each full one walks every tracked object alive while freeing nothing:
     memtag's bulk builds make no reference cycles. Per paused call, a full
-    collection would walk the `Token`s built by `parse_corpus` and
-    `synth_corpus` (a tuple subclass, which CPython tracks for life); the
-    corpus's `Token`s and the lexicon, case bases and trie nodes of
-    `taggen.train`; the trie nodes and arc dicts of `modelfile._read_model`;
-    the lexicon, case base and index buckets of `compare_algorithms`.
+    collection would walk the `Token`s built by `parse_corpus` (a tuple
+    subclass, which CPython tracks for life); the corpus's `Token`s and the
+    lexicon, case bases and trie nodes of `taggen.train`; the trie nodes
+    and arc dicts of `modelfile._read_model`; the lexicon, case base and
+    index buckets of `compare_algorithms`.
     README's "How it works" cites the measured cost. On return or on an
     exception the collector is turned back on only if it was on when the
     call began, so nested calls and callers that turned it off keep their

@@ -17,7 +17,7 @@ from bisect import bisect
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .corpus import Corpus, Sentence, Token, collector_paused
+from .corpus import Corpus, Sentence, Token
 from .errors import ParameterError
 
 OPEN_TAGS = ("NN", "VB", "JJ", "RB", "NNS", "VBD", "VBZ")
@@ -54,7 +54,6 @@ class _Sampler:
         return self.items[bisect(self.cum, rng.random() * self.total)]
 
 
-@collector_paused
 def synth_corpus(config: SynthConfig = SynthConfig()) -> Corpus:
     if config.n_tokens < 1:
         raise ParameterError(f"n_tokens must be >= 1, got {config.n_tokens}")
@@ -67,12 +66,12 @@ def synth_corpus(config: SynthConfig = SynthConfig()) -> Corpus:
     suffixes = {tag: [rng.choice(SUFFIX_POOL) for _ in range(rng.randint(2, 3))]
                 for tag in OPEN_TAGS}
 
-    # Word types: Zipf weight by rank; head types may be tag-ambiguous.
+    # Word types: Zipf weight by rank; head types may be tag-ambiguous. Each
+    # type has one Token per tag it bears, shared by every draw of it.
     head = max(1, int(config.n_types * AMBIGUOUS_HEAD_FRACTION))
     forms: set[str] = set()
-    type_tags: list[tuple[str, ...]] = []
-    type_forms: list[str] = []
-    for i in range(config.n_types):
+    by_tag = {t: ([], []) for t in chain_tags}  # tag -> (Tokens, weights)
+    for i, weight in enumerate(weights):
         primary = rng.choice(OPEN_TAGS if i >= head or rng.random() < 0.5
                              else CLOSED_TAGS)
         tags = (primary,)
@@ -89,19 +88,11 @@ def synth_corpus(config: SynthConfig = SynthConfig()) -> Corpus:
             if form not in forms:
                 break
         forms.add(form)
-        type_tags.append(tags)
-        type_forms.append(form)
-
-    # Per-tag emission samplers over the types that can bear the tag.
-    by_tag: dict[str, tuple[list[int], list[float]]] = {t: ([], []) for t in chain_tags}
-    for i, (tags, w) in enumerate(zip(type_tags, weights)):
         for tag in tags:
-            by_tag[tag][0].append(i)
-            by_tag[tag][1].append(w)
-    emitters = {}
-    for tag, (idxs, ws) in by_tag.items():
-        if idxs:
-            emitters[tag] = _Sampler(idxs, ws)
+            by_tag[tag][0].append(Token(form, tag))
+            by_tag[tag][1].append(weight)
+    emitters = {tag: _Sampler(tokens, ws)
+                for tag, (tokens, ws) in by_tag.items() if tokens}
 
     # Concentrated transitions: few successors with skewed weights, so the
     # previous tag is strongly predictive. CD gets a small flat share.
@@ -115,9 +106,9 @@ def synth_corpus(config: SynthConfig = SynthConfig()) -> Corpus:
         transitions[tag] = _Sampler(succ, weights)
     start = _Sampler(chain_tags, [rng.random() + 0.2 for _ in chain_tags])
 
-    # Token's own constructor is a Python-level function; tuple.__new__
-    # builds the same Token without that call, as in parse_corpus.
-    new_tuple = tuple.__new__
+    # One Token per numeral text, and one for every sentence's end.
+    numerals: dict[str, Token] = {}
+    end = Token(".", ".")
     sentences: list[Sentence] = []
     total = 0
     while total < config.n_tokens:
@@ -126,14 +117,16 @@ def synth_corpus(config: SynthConfig = SynthConfig()) -> Corpus:
         tag = start.draw(rng)
         for _ in range(length):
             if tag == "CD" or rng.random() < NUMBER_PROB:
-                sent.append(new_tuple(Token, (_number_form(rng), "CD")))
+                form = _number_form(rng)
+                if form not in numerals:
+                    numerals[form] = Token(form, "CD")
+                sent.append(numerals[form])
             elif tag not in emitters:
                 raise ParameterError(f"too few types: none bears tag {tag!r}")
             else:
-                idx = emitters[tag].draw(rng)
-                sent.append(new_tuple(Token, (type_forms[idx], tag)))
+                sent.append(emitters[tag].draw(rng))
             tag = transitions[tag].draw(rng)
-        sent.append(new_tuple(Token, (".", ".")))
+        sent.append(end)
         sentences.append(sent)
         total += len(sent)
     return Corpus(sentences)

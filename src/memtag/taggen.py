@@ -186,7 +186,7 @@ def _lexicon_from_columns(words: list[str], n_tags: list[int],
 
 
 def build_lexicon(corpus: Corpus, interner: Interner,
-                  threshold: float = 0.10) -> Lexicon:
+                  threshold: float = TaggerConfig.threshold) -> Lexicon:
     """Count tags per word type, drop categories below `threshold` of the
     word's tokens (the most frequent one always survives), and synthesize
     one lexicon tag per type by joining the survivors with "-" in

@@ -464,14 +464,22 @@ def readme_synopsis():
 
 def test_readme_synopsis_lists_each_subcommands_options():
     """README's command-line block names every option of each subcommand
-    (either alias will do) and no other, and shows an optional positional
-    in brackets, a required one bare."""
+    (either alias will do) and no other, shows an optional positional in
+    brackets, a required one bare, and shows as an option's number its
+    parser default."""
     parser = build_parser()
     commands = next(a for a in parser._actions
                     if isinstance(a, argparse._SubParsersAction)).choices
     synopsis = readme_synopsis()
     assert sorted(synopsis) == sorted(commands)
+    numbers = []
     for name, sub in commands.items():
+        for option, number in re.findall(r"(--[\w-]+) (\d[\d.]*)(?=[\s\]])",
+                                         synopsis[name]):
+            action = next(a for a in sub._actions
+                          if option in a.option_strings)
+            assert float(number) == action.default, (name, option)
+            numbers.append((name, option))
         words = synopsis[name].replace("[", " [ ").replace("]", " ] ").split()
         shown = {w.split("=")[0] for w in words if w.startswith("-")}
         options = [a.option_strings for a in sub._actions
@@ -484,3 +492,5 @@ def test_readme_synopsis_lists_each_subcommands_options():
             metavar = action.dest.upper()
             want = (f"[ {metavar} ]" if action.nargs == "?" else metavar)
             assert f"memtag {name} {want} " in " ".join(words), name
+    assert numbers == [("train", "--threshold"), ("curve", "--folds"),
+                       ("curve", "--seed"), ("curve", "--threshold")]

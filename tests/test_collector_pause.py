@@ -11,13 +11,12 @@ from memtag import modelfile
 from memtag.corpus import Corpus, format_corpus, parse_corpus
 from memtag.errors import CorpusParseError, ParameterError
 from memtag.evaluation import compare_algorithms, cross_validate
-from memtag.synth import SynthConfig, synth_corpus
 from memtag.taggen import TaggerModel, train
 
 
 @pytest.fixture(scope="module")
 def paused_calls(synth_small):
-    """(paused function, thunk that calls it) for each of the five bulk
+    """(paused function, thunk that calls it) for each of the four bulk
     calls, on inputs built from a small corpus before any call runs."""
     corpus = synth_small
     model = train(corpus)
@@ -27,8 +26,6 @@ def paused_calls(synth_small):
     test_c = Corpus(corpus.sentences[300:360])
     return {
         "parse_corpus": (parse_corpus, lambda: parse_corpus(text)),
-        "synth_corpus": (synth_corpus,
-                         lambda: synth_corpus(SynthConfig(n_tokens=3_000))),
         "train": (train, lambda: train(corpus)),
         "_read_model": (modelfile._read_model,
                         lambda: TaggerModel.from_bytes(data)),
@@ -37,8 +34,7 @@ def paused_calls(synth_small):
     }
 
 
-PAUSED = ("parse_corpus", "synth_corpus", "train", "_read_model",
-          "compare_algorithms")
+PAUSED = ("parse_corpus", "train", "_read_model", "compare_algorithms")
 
 
 @pytest.fixture

@@ -79,13 +79,19 @@ def test_lines_split_at_newline_only():
     assert exc.value.line_no == 2
 
 
-@pytest.mark.parametrize("corpus", ["synth_small", "f1"])
-def test_parse_holds_one_object_per_distinct_text(corpus, request):
-    """Every token with the same text is one Token object; every token with
-    the same word shares one str object, and so does every token with the
-    same tag."""
-    parsed = parse_corpus(format_corpus(request.getfixturevalue(corpus)))
-    tokens = [tok for sent in parsed.sentences for tok in sent]
+@pytest.mark.parametrize("corpus, parse", [
+    ("f1", True), ("synth_small", True), ("synth_small", False),
+    ("synth_medium", False)],
+    ids=["parsed-f1", "parsed-synth_small", "synth_small", "synth_medium"])
+def test_corpus_holds_one_object_per_distinct_text(corpus, parse, request):
+    """In a corpus that `parse_corpus` built or that comes straight from
+    `synth_corpus`, every token with the same text is one Token object;
+    every token with the same word shares one str object, and so does every
+    token with the same tag."""
+    corpus = request.getfixturevalue(corpus)
+    if parse:
+        corpus = parse_corpus(format_corpus(corpus))
+    tokens = [tok for sent in corpus.sentences for tok in sent]
     assert len(set(map(id, tokens))) == len(set(tokens)) < len(tokens)
     for field in ("word", "tag"):
         values = [getattr(tok, field) for tok in tokens]

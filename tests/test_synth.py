@@ -16,6 +16,18 @@ def test_synth_corpus_is_pinned():
             == "74940dbbe3732ea66bc053fb9a387ea45e31a003")
 
 
+@pytest.mark.parametrize("corpus, sha1", [
+    ("synth_100k", "2109410e832a95f05e23e907db8ff3f3bcb96a4f"),
+    ("synth_300k", "5c5aa78c0fe8f03495a358741163f33d121602f2")])
+def test_workload_scale_corpora_are_pinned(corpus, sha1, request):
+    """The criterion-6 corpus, also the first 105k tokens of
+    `crossval-105k`'s source corpus, and `acceptance-300k`'s training
+    corpus, pinned at their own scale. The session fixtures are reused, so
+    each pin costs one format and one hash."""
+    text = format_corpus(request.getfixturevalue(corpus))
+    assert hashlib.sha1(text.encode("utf-8")).hexdigest() == sha1
+
+
 def test_too_few_types_names_the_tag_without_a_word():
     # a chain tag that drew no word type fails at its first draw
     with pytest.raises(ParameterError,
