@@ -520,18 +520,32 @@ def _fit(base: CaseBase, arity: int
 
 @collector_paused
 def train(corpus: Corpus, config: TaggerConfig = TaggerConfig()) -> TaggerModel:
-    """Generate a complete tagger model from a tagged corpus."""
+    """Generate a complete tagger model from a tagged corpus. Where it
+    can, a forked child fits the unknown-word base while this process
+    fits the known-word base (`forking.forked`); no process outlives the
+    call."""
+    # Imported here, so that a process that only loads and tags models
+    # never compiles or holds the fork code.
+    from .forking import forked
     if not any(corpus.sentences):
         raise ParameterError("cannot train on an empty corpus")
     interner = Interner()
     lexicon = build_lexicon(corpus, interner, config.threshold)
-    # Each base is fitted and dropped before the next is extracted, so one
-    # case base is alive at a time. Fitting interns nothing: symbol ids are
-    # those of extracting both bases first.
-    known_weights, known_tree = _fit(
-        extract_known_cases(corpus, lexicon, interner, config), KNOWN_ARITY)
-    unknown_weights, unknown_tree = _fit(
-        extract_unknown_cases(corpus, lexicon, interner, config), UNKNOWN_ARITY)
+
+    def fit_unknown() -> tuple[FeatureWeights, IGTree | None]:
+        return _fit(extract_unknown_cases(corpus, lexicon, interner, config),
+                    UNKNOWN_ARITY)
+
+    # A child fits the unknown base while this process fits the known one;
+    # in process, the known base is dropped before the unknown one is
+    # extracted. Either way a process holds one case base at a time. Known
+    # extraction and fitting intern nothing new, so symbol ids are those of
+    # extracting the known base, then the unknown one, in process.
+    with forked(fit_unknown, interner) as unknown_fit:
+        known_weights, known_tree = _fit(
+            extract_known_cases(corpus, lexicon, interner, config),
+            KNOWN_ARITY)
+        unknown_weights, unknown_tree = unknown_fit()
 
     # The lexicon has counted every token's tag once already.
     tag_totals: dict[int, int] = {}

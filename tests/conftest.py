@@ -13,7 +13,8 @@ from memtag.igtree import stats
 from memtag.interning import Interner
 from memtag.modelfile import sections
 from memtag.synth import SynthConfig, synth_corpus
-from memtag.taggen import LexicalEntry, Lexicon, build_lexicon, train
+from memtag.taggen import (LexicalEntry, Lexicon, TaggerConfig, build_lexicon,
+                           train)
 
 settings.register_profile(
     "suite", deadline=None,
@@ -91,6 +92,20 @@ def count_lexicons(monkeypatch):
 
     monkeypatch.setattr(Lexicon, "__post_init__", counting_post_init)
     return built
+
+
+def count_forks(monkeypatch):
+    """A list that grows by one for every `os.fork` call from now on, until
+    the monkeypatch is undone; the forks still happen."""
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        forks.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
 
 
 def preorder(node):
@@ -336,6 +351,12 @@ def f1():
 
 
 SYNTH_SMALL = SynthConfig(n_tokens=8_000, seed=11)
+
+# The second keeps more tags per word and stores a closed-class list.
+ROUND_TRIP_CONFIGS = (TaggerConfig(),
+                      TaggerConfig(threshold=0.02,
+                                   closed_class_tags=frozenset({"DT", "IN"}),
+                                   route_numbers_to_unknown=False))
 
 
 @pytest.fixture(scope="session")

@@ -9,14 +9,15 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (F1_PATH, LEAF, PV_LEXICON, PV_SENTENCE, SYNTH_SMALL,
+from conftest import (F1_PATH, LEAF, PV_LEXICON, PV_SENTENCE,
+                      ROUND_TRIP_CONFIGS, SYNTH_SMALL,
                       chained_known_tree_model, check_section_map, column,
-                      config_section, count_lexical_entries, count_lexicons,
-                      f1_model_with_known_nodes, f1_model_with_lexicon,
-                      fingerprint, header_section, interner_table,
-                      lexicon_columns, lexicon_of_counts, lexicon_section,
-                      preorder, readme_section, text_table, texts, tree_section,
-                      with_crc, with_section)
+                      config_section, count_forks, count_lexical_entries,
+                      count_lexicons, f1_model_with_known_nodes,
+                      f1_model_with_lexicon, fingerprint, header_section,
+                      interner_table, lexicon_columns, lexicon_of_counts,
+                      lexicon_section, preorder, readme_section, text_table,
+                      texts, tree_section, with_crc, with_section)
 from memtag import modelfile, taggen
 from memtag.corpus import Corpus, parse_corpus
 from memtag.errors import ModelFormatError, ParameterError, StructureError
@@ -24,10 +25,10 @@ from memtag.evaluation import compare_algorithms, evaluate
 from memtag.igtree import IGTree, IGTreeNode, feature_order, stats
 from memtag.interning import BOUNDARY, NO_SYMBOL, UNKNOWN_MARK, Interner
 from memtag.modelfile import _read_texts, _texts
-from memtag.taggen import (UNKNOWN_SLOTS, Lexicon, TaggerConfig, TaggerModel,
-                           _lexicon_tag, build_lexicon,
-                           extract_known_cases, extract_unknown_cases,
-                           is_number, train)
+from memtag.taggen import (KNOWN_ARITY, UNKNOWN_ARITY, UNKNOWN_SLOTS, Lexicon,
+                           TaggerConfig, TaggerModel, _lexicon_tag,
+                           build_lexicon, extract_known_cases,
+                           extract_unknown_cases, is_number, train)
 from memtag.synth import SynthConfig, synth_corpus
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -359,12 +360,19 @@ def test_summary_reports_empty_trees():
 
 
 def test_train_holds_one_case_base_at_a_time(synth_small, monkeypatch):
-    """train() has dropped the known base before it extracts the unknown
-    one, and the model is the one it trained before the watch."""
+    """Forked, train() builds one case base in its own process, the known
+    one; the child builds the unknown one. In process, it has dropped the
+    known base before it extracts the unknown one. Either way the model is
+    the one it trained before the watch."""
+    built, bases, alive = [], [], []
+
     class WatchedBase(taggen.CaseBase):
         __slots__ = ("__weakref__",)
 
-    bases, alive = [], []
+        def __init__(self, arity, *args):
+            built.append(arity)
+            super().__init__(arity, *args)
+
     extract_known, extract_unknown = (taggen.extract_known_cases,
                                       taggen.extract_unknown_cases)
 
@@ -381,7 +389,16 @@ def test_train_holds_one_case_base_at_a_time(synth_small, monkeypatch):
     monkeypatch.setattr(taggen, "CaseBase", WatchedBase)
     monkeypatch.setattr(taggen, "extract_known_cases", watched_known)
     monkeypatch.setattr(taggen, "extract_unknown_cases", watched_unknown)
+    forks = count_forks(monkeypatch)
     assert train(synth_small).to_bytes() == expected
+    assert len(forks) == 1
+    assert built == [KNOWN_ARITY] and alive == []
+
+    built.clear()
+    bases.clear()
+    monkeypatch.delattr(os, "fork")
+    assert train(synth_small).to_bytes() == expected
+    assert built == [KNOWN_ARITY, UNKNOWN_ARITY]
     assert alive == [[False]]
 
 
@@ -1000,13 +1017,6 @@ def test_tree_section_size_and_stats_bytes(f1, synth_small):
     assert len(data) - len(model(None).to_bytes()) == 9 + 2 * (3 * 2 - 1)
     assert stats(tree).serialized_bytes == 4 + 8 * 2 + 4 * 1
     assert TaggerModel.from_bytes(data).to_bytes() == data
-
-
-# The second keeps more tags per word and stores a closed-class list.
-ROUND_TRIP_CONFIGS = (TaggerConfig(),
-                      TaggerConfig(threshold=0.02,
-                                   closed_class_tags=frozenset({"DT", "IN"}),
-                                   route_numbers_to_unknown=False))
 
 
 # Trains on f1 and the corpus of a SynthConfig repr under each TaggerConfig
