@@ -25,7 +25,7 @@ class Interner:
     """Bijective value text <-> id map, ids 2 on, dense and assigned in
     intern order, after the two marker ids."""
 
-    __slots__ = ("_ids", "_texts")
+    __slots__ = ("_ids", "_texts", "text")
     boundary = 0  # the ids of the markers, shown as BOUNDARY and UNKNOWN_MARK
     unknown_mark = 1
 
@@ -33,6 +33,8 @@ class Interner:
         """The two markers, then `texts` in id order. Raises ValueError if
         a text repeats."""
         self._texts = [BOUNDARY, UNKNOWN_MARK, *texts]
+        # text(sid) -> str: a list lookup with no Python frame per call.
+        self.text = self._texts.__getitem__
         self._ids = dict(zip(self._texts[2:], range(2, len(self._texts))))
         if len(self._ids) != len(self._texts) - 2:
             raise ValueError("interner table repeats a text")
@@ -55,9 +57,6 @@ class Interner:
     def id_of(self, text: str) -> int:
         """Id for `text`, or NO_SYMBOL if it was never interned."""
         return self._ids.get(text, NO_SYMBOL)
-
-    def text(self, sid: int) -> str:
-        return self._texts[sid]
 
     def __len__(self) -> int:
         return len(self._texts)

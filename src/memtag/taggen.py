@@ -48,6 +48,7 @@ KNOWN_SLOTS = ("d-2", "d-1", "f", "a+1")
 UNKNOWN_SLOTS = ("p", "d-1", "a+1", "s-3", "s-2", "s-1")
 KNOWN_ARITY = len(KNOWN_SLOTS)
 UNKNOWN_ARITY = len(UNKNOWN_SLOTS)
+_ROUTES = {KNOWN_ARITY: "known", UNKNOWN_ARITY: "unknown"}
 
 # Digits with optional sign, optional 3-digit grouping commas, optional
 # decimal fraction: "61", "12,345.6", "-29".
@@ -370,50 +371,49 @@ class TaggerModel:
         self.known_tree = known_tree
         self.unknown_tree = unknown_tree
         self.fallback_tag = fallback_tag
-        # Saves _walk, run per sentence, a lexicon.known_tags call.
+        # Saves the tag loop, run per sentence, a lexicon.known_tags call.
         self._known_tags = lexicon.known_tags(config)
 
     # -- tagging ---------------------------------------------------------
 
-    def _walk(self, words: list[str], gold_left: list[str] | None
-              ) -> Iterator[tuple[str, Vector, int]]:
-        """Tag one sentence left to right, yielding (route, query,
-        prediction) per token.
+    def _walk(self, words: list[str], gold_left: list[str] | None,
+              queries: list[Vector] | None = None) -> list[int]:
+        """Tag one sentence left to right in one plain loop, the one that
+        `tag`, `tag_records`, `explain` and `evaluate` run: each token's
+        prediction id, and its query appended to `queries` when given.
 
         Routing and a+1 come from `_route`, as in training. With
         `gold_left` the d slots hold those tags instead of the tagger's own
-        output. A route without a tree answers the fallback tag. The
-        windows are built inline: a shared window generator would cost an
-        extra generator step per token.
+        output. A route without a tree answers the fallback tag.
         """
         if not words:
             raise ParameterError("cannot tag an empty sentence")
         if gold_left is not None and len(gold_left) != len(words):
             raise ParameterError("gold_left length differs from sentence length")
         interner = self.interner
-        boundary, letter = interner.boundary, interner.id_of
+        boundary, id_of = interner.boundary, interner.id_of
         fallback = self.fallback_tag
         known_tree, unknown_tree = self.known_tree, self.unknown_tree
         focus, right = _route(words, self._known_tags, interner)
-        gold = (None if gold_left is None
-                else [interner.id_of(t) for t in gold_left])
+        preds: list[int] = []
+        # Without gold_left, `left` is `preds` itself: the d slots read
+        # left[i] only after preds[i] is appended.
+        left = preds if gold_left is None else list(map(id_of, gold_left))
         d2 = d1 = boundary
         for i, w in enumerate(words):
             f = focus[i]
             if f is not None:
-                query = (d2, d1, f, right[i])
-                pred = (known_tree.classify(query) if known_tree is not None
-                        else fallback)
-                yield "known", query, pred
+                query, tree = (d2, d1, f, right[i]), known_tree
             else:
                 if not w:
                     raise ParameterError(f"empty word at position {i}")
-                first, s3, s2, s1 = _letter_slots(w, letter, boundary)
-                query = (first, d1, right[i], s3, s2, s1)
-                pred = (unknown_tree.classify(query)
-                        if unknown_tree is not None else fallback)
-                yield "unknown", query, pred
-            d2, d1 = d1, (pred if gold is None else gold[i])
+                first, s3, s2, s1 = _letter_slots(w, id_of, boundary)
+                query, tree = (first, d1, right[i], s3, s2, s1), unknown_tree
+            preds.append(tree.classify(query) if tree is not None else fallback)
+            if queries is not None:
+                queries.append(query)
+            d2, d1 = d1, left[i]
+        return preds
 
     def tag_records(self, words: list[str],
                     gold_left: list[str] | None = None) -> list[TokenRecord]:
@@ -424,16 +424,15 @@ class TaggerModel:
         the tagger's own output, isolating the classifiers from error
         propagation.
         """
-        # The walk is zipped first, so that it runs (and rejects an empty
-        # sentence) before zip sees that `words` is exhausted.
-        return [TokenRecord(w, route, query, pred) for (route, query, pred), w
-                in zip(self._walk(words, gold_left), words)]
+        queries: list[Vector] = []  # a query's arity gives its route
+        preds = self._walk(words, gold_left, queries)
+        return [TokenRecord(w, _ROUTES[len(q)], q, p)
+                for w, q, p in zip(words, queries, preds)]
 
     def tag(self, words: list[str]) -> list[str]:
         """Tag texts for one sentence; output length equals input length.
         Builds no per-token records."""
-        text = self.interner.text
-        return [text(pred) for _, _, pred in self._walk(words, None)]
+        return list(map(self.interner.text, self._walk(words, None)))
 
     def explain(self, words: list[str], position: int) -> Explanation:
         """The trie path behind one tagging decision: per tested feature the

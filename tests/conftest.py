@@ -351,6 +351,8 @@ def f1():
 
 
 SYNTH_SMALL = SynthConfig(n_tokens=8_000, seed=11)
+SYNTH_MEDIUM = SynthConfig(n_tokens=30_000, seed=7)
+SYNTH_100K = SynthConfig(n_tokens=105_000, seed=3)
 
 # The second keeps more tags per word and stores a closed-class list.
 ROUND_TRIP_CONFIGS = (TaggerConfig(),
@@ -366,12 +368,12 @@ def synth_small():
 
 @pytest.fixture(scope="session")
 def synth_medium():
-    return synth_corpus(SynthConfig(n_tokens=30_000, seed=7))
+    return synth_corpus(SYNTH_MEDIUM)
 
 
 @pytest.fixture(scope="session")
 def synth_100k():
-    return synth_corpus(SynthConfig(n_tokens=105_000, seed=3))
+    return synth_corpus(SYNTH_100K)
 
 
 @pytest.fixture(scope="session")

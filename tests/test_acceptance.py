@@ -3,15 +3,17 @@ line (run with -s to watch them). The heavyweight corpora are shared
 session fixtures; every tolerance is fixed here, not tuned at run time.
 """
 
+import dataclasses
 import hashlib
 import random
 import time
 
 import pytest
 
-from conftest import (PV_LEXICON, PV_SENTENCE, check_section_map,
-                      distance_overlap, distance_weighted, lexicon_of_counts,
-                      one_pattern_distance, random_case_base, texts)
+from conftest import (PV_LEXICON, PV_SENTENCE, SYNTH_100K, SYNTH_MEDIUM,
+                      check_section_map, distance_overlap, distance_weighted,
+                      lexicon_of_counts, one_pattern_distance,
+                      random_case_base, texts)
 from memtag.casebase import CaseBase
 from memtag.corpus import cv_folds, parse_corpus
 from memtag.evaluation import compare_algorithms, evaluate, learning_curve
@@ -19,6 +21,7 @@ from memtag.ib import classify_ib1ig
 from memtag.igtree import build, prune, stats
 from memtag.interning import Interner
 from memtag.metrics import class_entropy, information_gains
+from memtag.synth import synth_corpus
 from memtag.taggen import (TaggerConfig, TaggerModel, build_lexicon,
                            extract_known_cases, extract_unknown_cases, train)
 
@@ -340,6 +343,57 @@ def test_model_bytes_pinned(pinned_models):
     assert sha1(medium) == "521481b4d1ae22b28bd0b15fd35ecad439212921"
     assert (sha1(medium_non_default)
             == "20b18c4c2f6c8d23335fd793536710ab3b4c4c06")
+
+
+@pytest.fixture(scope="module")
+def held_out(synth_100k, synth_medium):
+    """The sentences that follow each pinned corpus in its synthetic
+    stream, up to 5,000 more tokens: text none of the models trained on."""
+    slices = []
+    for corpus, config in ((synth_100k, SYNTH_100K),
+                           (synth_medium, SYNTH_MEDIUM)):
+        longer = synth_corpus(dataclasses.replace(
+            config, n_tokens=config.n_tokens + 5_000))
+        k = len(corpus.sentences)
+        assert longer.sentences[:k] == corpus.sentences
+        slices.append(longer.sentences[k:])
+    return slices
+
+
+def test_tagged_output_pinned(pinned_models, held_out):
+    """Each pinned model tags its held-out slice as earlier releases did:
+    SHA-1s of tag()'s texts, of tag_records()' (route, query, prediction)
+    triples, and of those triples with gold left context."""
+    def sha1(rows):
+        return hashlib.sha1(repr(rows).encode()).hexdigest()
+
+    def triples(records):
+        return [(r.route, r.query, r.prediction) for r in records]
+
+    pins = []
+    for model, sentences in zip(pinned_models, (held_out[0], held_out[0],
+                                                held_out[1], held_out[1])):
+        words = [[t.word for t in sent] for sent in sentences]
+        gold = [[t.tag for t in sent] for sent in sentences]
+        pins.append((
+            sha1([model.tag(w) for w in words]),
+            sha1([triples(model.tag_records(w)) for w in words]),
+            sha1([triples(model.tag_records(w, g))
+                  for w, g in zip(words, gold)])))
+    assert pins == [
+        ("ba54e72a0b2ed80ddd6a7e851d1b6b11e888a2f9",
+         "2d783b2c7374c46216560471f04e31645e44e482",
+         "089e05486c9e7f3d2dbd13aa00867359e2beb0a6"),
+        ("3ab2f4c2cee902db0eb5aa4da5eced914fff76e4",
+         "cab3053c7f77bba7da6e0bbba6c7ec1e84e171fc",
+         "cf49daeda27eb0b6b9d839b37919d100c1e0f0a8"),
+        ("9ae3a186501530a3e13b2f99b3b36475ab37c0ce",
+         "f37e76ec119d1430c6dc79614a733e903a5a3e05",
+         "e026d9d12fb762ffff12f6edae27a33d0603a1be"),
+        ("6a6718e4347f49e68374e7e71a1aab356c38d00f",
+         "e5355053dc07ae20f3baf9c82b0ee90cb60431d7",
+         "f235b27f42b0cbccf97a44b8a305a0d8c6e3b3a0"),
+    ]
 
 
 def test_pinned_models_section_map(pinned_models):

@@ -496,6 +496,23 @@ def test_tag_and_tag_records_share_one_loop(case, f1, synth_small):
             assert rec.prediction == expect
 
 
+def test_tag_builds_no_token_records(monkeypatch, synth_small):
+    """tag() answers the same texts when a TokenRecord cannot be built:
+    only tag_records() builds per-token records."""
+    model = train(synth_small)
+    sentences = [[t.word for t in s] for s in synth_small.sentences[:200]]
+    sentences += [["the", "61", "blorft", "."]]
+    expected = [model.tag(words) for words in sentences]
+
+    def no_record(*args, **kwargs):
+        raise AssertionError("tag() built a TokenRecord")
+
+    monkeypatch.setattr(taggen, "TokenRecord", no_record)
+    with pytest.raises(AssertionError, match="built a TokenRecord"):
+        model.tag_records(sentences[0])
+    assert [model.tag(words) for words in sentences] == expected
+
+
 def test_unknown_right_neighbor_marks_a_slot(f1):
     model = train(f1)
     interner = model.interner
