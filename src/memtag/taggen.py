@@ -520,9 +520,9 @@ def _fit(base: CaseBase, arity: int
 @collector_paused
 def train(corpus: Corpus, config: TaggerConfig = TaggerConfig()) -> TaggerModel:
     """Generate a complete tagger model from a tagged corpus. Where it
-    can, a forked child fits the unknown-word base while this process
-    fits the known-word base (`forking.forked`); no process outlives the
-    call."""
+    can, a forked child fits the known-word base while this process fits
+    the unknown-word base (`forking.forked`), and only the child's gains
+    and trie come back; no process outlives the call."""
     # Imported here, so that a process that only loads and tags models
     # never compiles or holds the fork code.
     from .forking import forked
@@ -531,20 +531,26 @@ def train(corpus: Corpus, config: TaggerConfig = TaggerConfig()) -> TaggerModel:
     interner = Interner()
     lexicon = build_lexicon(corpus, interner, config.threshold)
 
-    def fit_unknown() -> tuple[FeatureWeights, IGTree | None]:
-        return _fit(extract_unknown_cases(corpus, lexicon, interner, config),
-                    UNKNOWN_ARITY)
+    def fit_known() -> tuple[FeatureWeights, IGTree | None]:
+        # Forked, a text interned here would be missing from this
+        # process's interner, so the known fit must intern none.
+        n_symbols = len(interner)
+        fitted = _fit(extract_known_cases(corpus, lexicon, interner, config),
+                      KNOWN_ARITY)
+        if len(interner) != n_symbols:
+            raise RuntimeError("the known-word fit interned a text")
+        return fitted
 
-    # A child fits the unknown base while this process fits the known one;
-    # in process, the known base is dropped before the unknown one is
-    # extracted. Either way a process holds one case base at a time. Known
-    # extraction and fitting intern nothing new, so symbol ids are those of
-    # extracting the known base, then the unknown one, in process.
-    with forked(fit_unknown, interner) as unknown_fit:
-        known_weights, known_tree = _fit(
-            extract_known_cases(corpus, lexicon, interner, config),
-            KNOWN_ARITY)
-        unknown_weights, unknown_tree = unknown_fit()
+    # A child fits the known base while this process fits the unknown one;
+    # in process, the unknown base is dropped before the known one is
+    # extracted. Either way a process holds one case base at a time. As the
+    # known fit interns nothing, symbol ids are those of extracting the
+    # known base, then the unknown one, in process.
+    with forked(fit_known) as known_fit:
+        unknown_weights, unknown_tree = _fit(
+            extract_unknown_cases(corpus, lexicon, interner, config),
+            UNKNOWN_ARITY)
+        known_weights, known_tree = known_fit()
 
     # The lexicon has counted every token's tag once already.
     tag_totals: dict[int, int] = {}

@@ -1,7 +1,8 @@
-"""train() fits the unknown-word base in a forked child while it fits the
-known-word base: the model is the one that fitting both in process gives,
+"""train() fits the known-word base in a forked child while it fits the
+unknown-word base: the model is the one that fitting both in process gives,
 and no process outlives the call, whether it returns or raises."""
 
+import errno
 import os
 import signal
 import subprocess
@@ -58,7 +59,7 @@ def test_an_error_in_the_childs_half_is_raised_again(error, f1, monkeypatch):
     def failing(*args):
         raise error
 
-    monkeypatch.setattr(taggen, "extract_unknown_cases", failing)
+    monkeypatch.setattr(taggen, "extract_known_cases", failing)
     forks = count_forks(monkeypatch)
     with pytest.raises(type(error)) as raised:
         train(f1)
@@ -71,14 +72,14 @@ def test_an_error_in_the_childs_half_is_raised_again(error, f1, monkeypatch):
 def test_an_error_in_the_parents_half_kills_the_child(f1, monkeypatch):
     """The child would sleep for minutes; train() raises at once."""
     def failing(*args):
-        raise StructureError("no known base today")
+        raise StructureError("no unknown base today")
 
-    monkeypatch.setattr(taggen, "extract_unknown_cases",
+    monkeypatch.setattr(taggen, "extract_known_cases",
                         lambda *args: time.sleep(600))
-    monkeypatch.setattr(taggen, "extract_known_cases", failing)
+    monkeypatch.setattr(taggen, "extract_unknown_cases", failing)
     forks = count_forks(monkeypatch)
     start = time.monotonic()
-    with pytest.raises(StructureError, match="^no known base today$"):
+    with pytest.raises(StructureError, match="^no unknown base today$"):
         train(f1)
     assert time.monotonic() - start < 60
     assert len(forks) == 1
@@ -89,7 +90,7 @@ def test_an_error_in_the_parents_half_kills_the_child(f1, monkeypatch):
                                  lambda: os.kill(os.getpid(), signal.SIGKILL)],
                          ids=["exit", "killed"])
 def test_a_child_that_dies_without_a_result_is_an_error(die, f1, monkeypatch):
-    monkeypatch.setattr(taggen, "extract_unknown_cases", lambda *args: die())
+    monkeypatch.setattr(taggen, "extract_known_cases", lambda *args: die())
     forks = count_forks(monkeypatch)
     with pytest.raises(RuntimeError, match="ended without a result"):
         train(f1)
@@ -97,9 +98,12 @@ def test_a_child_that_dies_without_a_result_is_an_error(die, f1, monkeypatch):
     assert_no_child()
 
 
-def test_the_parent_refuses_ids_that_its_own_half_interned(f1, monkeypatch):
-    """Known extraction interns no new text; if it did, the child's ids
-    would clash with the parent's, and train() says so."""
+@pytest.mark.parametrize("fork", [True, False],
+                         ids=["forked", "in-process"])
+def test_a_known_fit_that_interns_a_text_is_an_error(fork, f1, monkeypatch):
+    """Known extraction interns no new text; if it did, the forked child's
+    text would be missing from the parent's interner, and train() says so,
+    forked or not."""
     extract_known = taggen.extract_known_cases
 
     def interning(corpus, lexicon, interner, config):
@@ -107,8 +111,12 @@ def test_the_parent_refuses_ids_that_its_own_half_interned(f1, monkeypatch):
         return extract_known(corpus, lexicon, interner, config)
 
     monkeypatch.setattr(taggen, "extract_known_cases", interning)
-    with pytest.raises(RuntimeError, match="interner grew"):
+    forks = count_forks(monkeypatch)
+    if not fork:
+        monkeypatch.delattr(os, "fork")
+    with pytest.raises(RuntimeError, match="^the known-word fit interned"):
         train(f1)
+    assert len(forks) == fork
     assert_no_child()
 
 
@@ -135,6 +143,23 @@ def test_a_failed_fork_trains_in_process(f1, monkeypatch):
 
     monkeypatch.setattr(os, "fork", failing_fork)
     assert train(f1).to_bytes() == expected
+    assert_no_child()
+
+
+def test_a_failed_pipe_trains_in_process(f1, monkeypatch):
+    """Out of file descriptors, train() forks nothing and still trains:
+    in process it needs none."""
+    monkeypatch.delattr(os, "fork")
+    expected = train(f1).to_bytes()
+    monkeypatch.undo()
+
+    def failing_pipe():
+        raise OSError(errno.EMFILE, "Too many open files")
+
+    monkeypatch.setattr(os, "pipe", failing_pipe)
+    forks = count_forks(monkeypatch)
+    assert train(f1).to_bytes() == expected
+    assert forks == []
     assert_no_child()
 
 

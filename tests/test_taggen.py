@@ -360,9 +360,9 @@ def test_summary_reports_empty_trees():
 
 
 def test_train_holds_one_case_base_at_a_time(synth_small, monkeypatch):
-    """Forked, train() builds one case base in its own process, the known
-    one; the child builds the unknown one. In process, it has dropped the
-    known base before it extracts the unknown one. Either way the model is
+    """Forked, train() builds one case base in its own process, the unknown
+    one; the child builds the known one. In process, it has dropped the
+    unknown base before it extracts the known one. Either way the model is
     the one it trained before the watch."""
     built, bases, alive = [], [], []
 
@@ -376,14 +376,14 @@ def test_train_holds_one_case_base_at_a_time(synth_small, monkeypatch):
     extract_known, extract_unknown = (taggen.extract_known_cases,
                                       taggen.extract_unknown_cases)
 
-    def watched_known(*args):
-        base = extract_known(*args)
+    def watched_unknown(*args):
+        base = extract_unknown(*args)
         bases.append(weakref.ref(base))
         return base
 
-    def watched_unknown(*args):
+    def watched_known(*args):
         alive.append([ref() is not None for ref in bases])
-        return extract_unknown(*args)
+        return extract_known(*args)
 
     expected = train(synth_small).to_bytes()
     monkeypatch.setattr(taggen, "CaseBase", WatchedBase)
@@ -392,13 +392,13 @@ def test_train_holds_one_case_base_at_a_time(synth_small, monkeypatch):
     forks = count_forks(monkeypatch)
     assert train(synth_small).to_bytes() == expected
     assert len(forks) == 1
-    assert built == [KNOWN_ARITY] and alive == []
+    assert built == [UNKNOWN_ARITY] and alive == []
 
     built.clear()
     bases.clear()
     monkeypatch.delattr(os, "fork")
     assert train(synth_small).to_bytes() == expected
-    assert built == [KNOWN_ARITY, UNKNOWN_ARITY]
+    assert built == [UNKNOWN_ARITY, KNOWN_ARITY]
     assert alive == [[False]]
 
 
